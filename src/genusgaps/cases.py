@@ -52,18 +52,19 @@ from pathlib import Path
 from .formulas import arithmetic_genus, clemens_min_genus, cut_system_dim
 from .gapmap import candidate_gap_interval
 from .picard import (
-    CANONICAL_SQUARES,
+    BUILTINS,
     DivisorClass,
     PicardLattice,
     adjunction_genus,
     builtin_lattice,
-    builtin_names,
     canonical_degree,
     family_dim_bound,
     intersect,
 )
 
 SCHEMA_VERSION = "genusgaps-cases/1"
+# surface degrees whose second gap range rests on the case table
+RESTRICTED_DEGREES = (6, 7, 8)
 
 
 class CaseDataError(Exception):
@@ -270,13 +271,21 @@ def allowed_cutting_degrees(d: int, g: int) -> set[int]:
 def restricted_triples() -> tuple[tuple[int, int, int], ...]:
     """All (d, n, g) that must be eliminated to prove the second gap range."""
     out = []
-    for d in (6, 7, 8):
+    for d in RESTRICTED_DEGREES:
         window = candidate_gap_interval(d, 1)
         assert window is not None
         for g in range(window.lo, window.hi + 1):
             for n in allowed_cutting_degrees(d, g):
                 out.append((d, n, g))
     return tuple(sorted(out))
+
+
+def _is_restricted(d: int, n: int, g: int) -> bool:
+    """Whether (d, n, g) is in ``restricted_triples()``, without building it."""
+    if d not in RESTRICTED_DEGREES:
+        return False
+    window = candidate_gap_interval(d, 1)
+    return window is not None and g in window and n in allowed_cutting_degrees(d, g)
 
 
 def _sweep_space(
@@ -344,13 +353,20 @@ def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
     return best
 
 
-def check_elimination(record: CaseRecord, d: int, n: int, g: int) -> EliminationCheck:
-    """Exact dimension-count check that genus g cannot occur in this family."""
-    if (d, n, g) not in restricted_triples():
+def check_elimination(
+    record: CaseRecord, d: int, n: int, g: int, *, neg_kappa: int | None = None
+) -> EliminationCheck:
+    """Exact dimension-count check that genus g cannot occur in this family.
+
+    ``neg_kappa`` is ``max_neg_canonical_degree(record, d)``, which does not
+    depend on g; a caller checking several genera sweeps once and passes it.
+    """
+    if not _is_restricted(d, n, g):
         raise ValueError(f"({d}, {n}, {g}) is not a restricted triple")
     if record.n != n:
         raise ValueError(f"{record.id} covers cutting degree {record.n}, not {n}")
-    neg_kappa = max_neg_canonical_degree(record, d)
+    if neg_kappa is None:
+        neg_kappa = max_neg_canonical_degree(record, d)
     v_bound = family_dim_bound(g, -neg_kappa)
     if record.mode == "direct-dim":
         assert record.threshold is not None
@@ -376,19 +392,22 @@ def check_elimination(record: CaseRecord, d: int, n: int, g: int) -> Elimination
 def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
     """Run every applicable family against every restricted triple."""
     records = default_cases() if cases is None else cases
+    triples = restricted_triples()
     checks = []
     for record in sorted(records, key=lambda r: r.id):
-        for d, n, g in restricted_triples():
-            if record.n != n:
-                continue
-            res = check_elimination(record, d, n, g)
-            checks.append(
-                CheckResult(
-                    check_id=f"eliminate/{record.id}/d{d}-n{n}-g{g}",
-                    ok=res.ok,
-                    detail=res.detail(),
+        # triples are sorted by d, so each degree's genera come in one run
+        ours = (t for t in triples if t[1] == record.n)
+        for d, run in itertools.groupby(ours, key=lambda t: t[0]):
+            neg_kappa = max_neg_canonical_degree(record, d)
+            for _, n, g in run:
+                res = check_elimination(record, d, n, g, neg_kappa=neg_kappa)
+                checks.append(
+                    CheckResult(
+                        check_id=f"eliminate/{record.id}/d{d}-n{n}-g{g}",
+                        ok=res.ok,
+                        detail=res.detail(),
+                    )
                 )
-            )
     return VerificationReport(ok=all(c.ok for c in checks), checks=tuple(checks))
 
 
@@ -411,34 +430,28 @@ def _kappa_checks(records: tuple[CaseRecord, ...]) -> list[CheckResult]:
 
 def _lattice_checks() -> list[CheckResult]:
     checks = []
-    for name in builtin_names():
-        lat = builtin_lattice(name)
+    for lat in sorted(BUILTINS, key=lambda lat: lat.name):
         k2 = intersect(lat, lat.canonical, lat.canonical)
-        want = CANONICAL_SQUARES[name]
         checks.append(
             CheckResult(
-                check_id=f"lattice/{name}/K2",
-                ok=k2 == want,
-                detail=f"K.K = {k2}, documented {want}",
+                check_id=f"lattice/{lat.name}/K2",
+                ok=k2 == lat.k2,
+                detail=f"K.K = {k2}, documented {lat.k2}",
             )
         )
     # adjunction ties the lattice models back to the closed-form genus
-    for name, deg in (("elliptic_cone", 3), ("blowup_plane(6)", 3),
-                      ("quartic_cone", 4), ("k3_quartic", 4), ("dp2_sep", 4),
-                      ("dp1_sep", 4), ("dcover_f1", 4), ("monoid_sep", 4),
-                      ("elliptic_ruled_a", 4), ("elliptic_ruled_b", 4),
-                      ("elliptic_ruled_c", 4)):
-        lat = builtin_lattice(name)
+    for lat in sorted((lat for lat in BUILTINS if lat.degree), key=lambda lat: lat.degree):
         h = lat.cls("H")
         ok = all(
-            adjunction_genus(lat, d * h) == arithmetic_genus(deg, d)
+            adjunction_genus(lat, d * h) == arithmetic_genus(lat.degree, d)
             for d in range(1, 31)
         )
         checks.append(
             CheckResult(
-                check_id=f"adjunction/{name}",
+                check_id=f"adjunction/{lat.name}",
                 ok=ok,
-                detail=f"p_a(d*H) matches the degree-{deg} genus formula for d in 1..30",
+                detail=f"p_a(d*H) matches the degree-{lat.degree} genus formula"
+                " for d in 1..30",
             )
         )
     return checks

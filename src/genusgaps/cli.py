@@ -4,17 +4,24 @@ Subcommands: ``status``, ``decompose``, ``bounds``, ``table``, ``certify``,
 ``verify``; all accept ``--format table|json|csv``.  Output is a pure
 function of the arguments (byte-identical across runs), numbers are always
 full decimal, and exit codes are 0 (success), 1 (verification failure),
-2 (usage error) and nothing else.
+2 (usage error) and nothing else.  A closed stdout is not an error: the
+command keeps its own exit code and prints no traceback.
+
+Each command returns one :class:`Record` holding its answer in every
+shape; ``main`` picks the requested format and writes stdout once.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import dataclass
 
 from . import cases as case_mod
 from .gapmap import (
+    Certificate,
     GapDecomposition,
     certify_nongap,
     coarse_horizon,
@@ -24,6 +31,18 @@ from .gapmap import (
 )
 
 SCHEMA_VERSION = "1"
+DECOMPOSITION_HEADER = ["d", "kind", "lo", "hi", "source"]
+
+
+@dataclass(frozen=True)
+class Record:
+    """One command's answer: JSON fields, CSV header and rows, table lines, exit code."""
+
+    fields: dict
+    header: list[str]
+    rows: list[list[object]]
+    lines: list[str]
+    code: int = 0
 
 
 def entry() -> None:
@@ -38,10 +57,32 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.run(args)
+        record = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        sys.stdout.write(_render(args, record))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return record.code
+
+
+def _render(args: argparse.Namespace, record: Record) -> str:
+    if args.format == "json":
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **record.fields}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if args.format == "csv":
+        lines = [",".join(record.header)] + [
+            ",".join("" if v is None else str(v) for v in row) for row in record.rows
+        ]
+    else:
+        lines = record.lines
+    return "".join(line + "\n" for line in lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,84 +133,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _certificate_json(cert: Certificate | None) -> dict | None:
+    return None if cert is None else {"n": cert.n, "delta": cert.delta}
 
 
-def _emit_csv(header: list[str], rows: list[list[object]]) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join("" if v is None else str(v) for v in row))
+def _certificate_cells(cert: Certificate | None) -> list[object]:
+    return [None, None] if cert is None else [cert.n, cert.delta]
 
 
-def _cmd_status(args: argparse.Namespace) -> int:
+def _cmd_status(args: argparse.Namespace) -> Record:
     st = status(args.d, args.g)
     cert = st.certificate
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "status",
-                "d": args.d,
-                "g": args.g,
-                "verdict": st.verdict,
-                "source": st.source,
-                "certificate": None if cert is None else {"n": cert.n, "delta": cert.delta},
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["d", "g", "verdict", "source", "n", "delta"],
-            [[args.d, args.g, st.verdict, st.source or "",
-              cert.n if cert else None, cert.delta if cert else None]],
-        )
-    else:
-        line = f"degree {args.d} genus {args.g}: {st.verdict}"
-        if st.source:
-            line += f" [{st.source}]"
-        if cert:
-            line += f" via a degree-{cert.n} cut with {cert.delta} nodes"
-        print(line)
-    return 0
+    line = f"degree {args.d} genus {args.g}: {st.verdict}"
+    if st.source:
+        line += f" [{st.source}]"
+    if cert:
+        line += f" via a degree-{cert.n} cut with {cert.delta} nodes"
+    return Record(
+        fields={"d": args.d, "g": args.g, "verdict": st.verdict, "source": st.source,
+                "certificate": _certificate_json(cert)},
+        header=["d", "g", "verdict", "source", "n", "delta"],
+        rows=[[args.d, args.g, st.verdict, st.source or "", *_certificate_cells(cert)]],
+        lines=[line],
+    )
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> Record:
     if args.d < 4:
-        print(
-            f"error: certificates exist only for degree >= 4, got {args.d}"
-            " (lower degrees carry curves of every genus)",
-            file=sys.stderr,
+        raise ValueError(
+            f"certificates exist only for degree >= 4, got {args.d}"
+            " (lower degrees carry curves of every genus)"
         )
-        return 2
     cert = certify_nongap(args.d, args.g)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "certify",
-                "d": args.d,
-                "g": args.g,
-                "certificate": None if cert is None else {"n": cert.n, "delta": cert.delta},
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["d", "g", "n", "delta"],
-            [[args.d, args.g, cert.n if cert else None, cert.delta if cert else None]],
-        )
+    line = f"degree {args.d} genus {args.g}: "
+    if cert is None:
+        line += "no certificate"
     else:
-        if cert is None:
-            print(f"degree {args.d} genus {args.g}: no certificate")
-        else:
-            print(
-                f"degree {args.d} genus {args.g}: certified by a degree-{cert.n}"
-                f" cut with {cert.delta} nodes"
-            )
-    return 0
+        line += f"certified by a degree-{cert.n} cut with {cert.delta} nodes"
+    return Record(
+        fields={"d": args.d, "g": args.g, "certificate": _certificate_json(cert)},
+        header=["d", "g", "n", "delta"],
+        rows=[[args.d, args.g, *_certificate_cells(cert)]],
+        lines=[line],
+    )
 
 
-def _decomposition_record(dec: GapDecomposition) -> dict:
-    return {
+def _decomposition(dec: GapDecomposition) -> Record:
+    fields = {
         "d": dec.d,
         "horizon": dec.horizon,
         "proved": dec.proved_gaps.to_pairs(),
@@ -180,37 +190,26 @@ def _decomposition_record(dec: GapDecomposition) -> dict:
             for part, src in dec.proved_sources
         ],
     }
-
-
-def _decomposition_csv_rows(dec: GapDecomposition) -> list[list[object]]:
     if dec.horizon < 0:
-        return [[dec.d, "nogaps", None, None, ""]]
+        return Record(
+            fields, DECOMPOSITION_HEADER, [[dec.d, "nogaps", None, None, ""]],
+            [f"degree {dec.d}: no gaps, every genus is a certified non-gap"],
+        )
     tag = {(p.lo, p.hi): src for p, src in dec.proved_sources}
     rows: list[list[object]] = []
-    for part in dec.proved_gaps:
-        rows.append([dec.d, "proved", part.lo, part.hi, tag.get((part.lo, part.hi), "")])
-    for part in dec.unknown_candidates:
-        rows.append([dec.d, "unknown", part.lo, part.hi, ""])
-    for part in dec.nongap_certified:
-        rows.append([dec.d, "certified", part.lo, part.hi, ""])
-    rows.sort(key=lambda r: (r[0], r[2]))
-    return rows
-
-
-def _print_decomposition(dec: GapDecomposition) -> None:
-    if dec.horizon < 0:
-        print(f"degree {dec.d}: no gaps, every genus is a certified non-gap")
-        return
-    tag = {(p.lo, p.hi): src for p, src in dec.proved_sources}
-    print(f"degree {dec.d}: gaps confined to [0,{dec.horizon}]")
-    for part in dec.proved_gaps:
-        src = tag.get((part.lo, part.hi), "")
-        print(f"  proved gap         {part}  [{src}]")
-    for part in dec.unknown_candidates:
-        print(f"  unknown            {part}")
-    for part in dec.nongap_certified:
-        print(f"  certified non-gap  {part}")
-    print(f"every genus above {dec.horizon} is a certified non-gap")
+    lines = [f"degree {dec.d}: gaps confined to [0,{dec.horizon}]"]
+    for kind, label, parts in (
+        ("proved", "proved gap", dec.proved_gaps),
+        ("unknown", "unknown", dec.unknown_candidates),
+        ("certified", "certified non-gap", dec.nongap_certified),
+    ):
+        for part in parts:
+            src = tag.get((part.lo, part.hi), "") if kind == "proved" else ""
+            rows.append([dec.d, kind, part.lo, part.hi, src])
+            lines.append(f"  {label:<19}{part}" + (f"  [{src}]" if kind == "proved" else ""))
+    rows.sort(key=lambda r: r[2])
+    lines.append(f"every genus above {dec.horizon} is a certified non-gap")
+    return Record(fields, DECOMPOSITION_HEADER, rows, lines)
 
 
 def _check_decomposable(d: int) -> None:
@@ -221,102 +220,60 @@ def _check_decomposable(d: int) -> None:
         )
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> Record:
     _check_decomposable(args.d)
-    dec = decompose(args.d)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "decompose",
-                **_decomposition_record(dec),
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(["d", "kind", "lo", "hi", "source"], _decomposition_csv_rows(dec))
-    else:
-        _print_decomposition(dec)
-    return 0
+    return _decomposition(decompose(args.d))
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> Record:
     _check_decomposable(args.d)
     coarse = coarse_horizon(args.d)
     refined = refined_horizon(args.d) if args.d >= 5 else -1
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "bounds",
-                "d": args.d,
-                "coarse": coarse,
-                "refined": refined,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(["d", "coarse", "refined"], [[args.d, coarse, refined]])
-    else:
-        print(f"degree {args.d}: coarse horizon {coarse}, refined horizon {refined}")
-    return 0
+    return Record(
+        fields={"d": args.d, "coarse": coarse, "refined": refined},
+        header=["d", "coarse", "refined"],
+        rows=[[args.d, coarse, refined]],
+        lines=[f"degree {args.d}: coarse horizon {coarse}, refined horizon {refined}"],
+    )
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> Record:
     if not 4 <= args.d_min <= args.d_max:
         raise ValueError(
             f"need 4 <= d_min <= d_max, got d_min={args.d_min}, d_max={args.d_max}"
         )
-    decs = [decompose(d) for d in range(args.d_min, args.d_max + 1)]
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "table",
-                "rows": [_decomposition_record(dec) for dec in decs],
-            }
-        )
-    elif args.format == "csv":
-        rows: list[list[object]] = []
-        for dec in decs:
-            rows.extend(_decomposition_csv_rows(dec))
-        rows.sort(key=lambda r: (r[0], r[2] if isinstance(r[2], int) else -1))
-        _emit_csv(["d", "kind", "lo", "hi", "source"], rows)
-    else:
-        for dec in decs:
-            _print_decomposition(dec)
-    return 0
+    # degrees ascend and each block is sorted by lo, so the rows stay sorted by (d, lo)
+    blocks = [_decomposition(decompose(d)) for d in range(args.d_min, args.d_max + 1)]
+    return Record(
+        fields={"rows": [b.fields for b in blocks]},
+        header=DECOMPOSITION_HEADER,
+        rows=[row for b in blocks for row in b.rows],
+        lines=[line for b in blocks for line in b.lines],
+    )
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Record:
     runner = {
         "cases": case_mod.verify_elimination,
         "kappa": case_mod.verify_kappa,
         "all": case_mod.verify_all,
     }[args.scope]
     report = runner()
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "verify",
-                "scope": args.scope,
-                "ok": report.ok,
-                "checks": [
-                    {"id": c.check_id, "ok": c.ok, "detail": c.detail}
-                    for c in report.checks
-                ],
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["check_id", "ok", "detail"],
-            [[c.check_id, "pass" if c.ok else "FAIL", c.detail] for c in report.checks],
-        )
+    checks = report.checks
+    n_fail = sum(1 for c in checks if not c.ok)
+    lines = [f"{'PASS' if c.ok else 'FAIL'} {c.check_id}: {c.detail}" for c in checks]
+    if n_fail:
+        lines.append(f"{n_fail} of {len(checks)} checks FAILED")
     else:
-        for c in report.checks:
-            print(f"{'PASS' if c.ok else 'FAIL'} {c.check_id}: {c.detail}")
-        n_fail = sum(1 for c in report.checks if not c.ok)
-        if n_fail:
-            print(f"{n_fail} of {len(report.checks)} checks FAILED")
-        else:
-            print(f"all {len(report.checks)} checks passed")
-    return 0 if report.ok else 1
+        lines.append(f"all {len(checks)} checks passed")
+    return Record(
+        fields={
+            "scope": args.scope,
+            "ok": report.ok,
+            "checks": [{"id": c.check_id, "ok": c.ok, "detail": c.detail} for c in checks],
+        },
+        header=["check_id", "ok", "detail"],
+        rows=[[c.check_id, "pass" if c.ok else "FAIL", c.detail] for c in checks],
+        lines=lines,
+        code=0 if report.ok else 1,
+    )

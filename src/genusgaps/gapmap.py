@@ -109,6 +109,23 @@ def second_gap_interval(d: int) -> Interval:
     return Interval((d * d - 3 * d + 4) // 2, d * d - 2 * d - 9)
 
 
+# The proved gap layers, one row each: (source tag, least degree, gap range).
+# ``status`` and ``decompose`` both read this table and nothing else.
+PROVED_LAYERS = (
+    (SOURCE_XU, 5, initial_gap_interval),
+    (SOURCE_GAPS1, 6, second_gap_interval),
+)
+
+
+def _proved_gaps(d: int) -> tuple[tuple[Interval, str], ...]:
+    """Each proved gap range at degree d with its source, in table order."""
+    return tuple(
+        (gaps, source)
+        for source, min_d, gap_range in PROVED_LAYERS
+        if d >= min_d and (gaps := gap_range(d)) is not None
+    )
+
+
 def coarse_horizon(d: int) -> int:
     """Horizon d(d-1)(5d-19)/6 - 1 valid for every d >= 5; -1 at d = 4 (no gaps)."""
     _check_d(d, 4)
@@ -175,12 +192,9 @@ def status(d: int, g: int) -> GapStatus:
         raise ValueError(f"genus must be >= 0, got {g}")
     if d <= 3:
         return GapStatus(CERTIFIED_NONGAP, SOURCE_LOW_DEGREE)
-    if d >= 5:
-        gaps0 = initial_gap_interval(d)
-        if gaps0 is not None and g in gaps0:
-            return GapStatus(PROVED_GAP, SOURCE_XU)
-        if d >= 6 and g in second_gap_interval(d):
-            return GapStatus(PROVED_GAP, SOURCE_GAPS1)
+    for gaps, source in _proved_gaps(d):
+        if g in gaps:
+            return GapStatus(PROVED_GAP, source)
     cert = certify_nongap(d, g)
     if cert is not None:
         return GapStatus(CERTIFIED_NONGAP, SOURCE_SEVERI, cert)
@@ -217,17 +231,8 @@ def decompose(d: int) -> GapDecomposition:
         )
     horizon = refined_horizon(d)
     bound = Interval(0, horizon)
-    sources: list[tuple[Interval, str]] = []
-    proved = IntervalSet.empty()
-    gaps0 = initial_gap_interval(d)
-    if gaps0 is not None:
-        proved = proved.union(IntervalSet([gaps0]))
-        sources.append((gaps0, SOURCE_XU))
-    if d >= 6:
-        gaps1 = second_gap_interval(d)
-        proved = proved.union(IntervalSet([gaps1]))
-        sources.append((gaps1, SOURCE_GAPS1))
-    proved = proved.clip(bound)
+    sources = _proved_gaps(d)
+    proved = IntervalSet(gaps for gaps, _ in sources).clip(bound)
     certified = _window_union_within(d, horizon)
     if proved.union(certified).count != proved.count + certified.count:
         raise ArithmeticError(f"d={d}: proved gaps overlap certified non-gaps")
@@ -238,5 +243,5 @@ def decompose(d: int) -> GapDecomposition:
         proved_gaps=proved,
         unknown_candidates=unknown,
         nongap_certified=certified,
-        proved_sources=tuple(sources),
+        proved_sources=sources,
     )

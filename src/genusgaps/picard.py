@@ -12,11 +12,16 @@ rational and elliptic-ruled models with an irrational singular point,
 non-normal scrolls, the Segre symmetroid, projected quartics).  Each one
 records only Gram data, never the surface itself, and every downstream
 number is recomputed from the Gram matrix.
+
+``BUILTINS`` is the one registry of the 21 built-in lattices, built once at
+import; ``builtin_lattice`` looks a name up there and nothing else.  Each
+lattice carries its documented K^2 (``k2``) and, for the normal cubic and
+quartic models where adjunction gives the closed-form genus, the degree of
+the surface (``degree``); the case-table audit reads both from here.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 
@@ -58,6 +63,8 @@ class PicardLattice:
     canonical: DivisorClass
     named: dict[str, DivisorClass] = field(default_factory=dict)
     description: str = ""
+    k2: int | None = None  # documented K.K, audited against the Gram matrix
+    degree: int | None = None  # surface degree in P^3, set where adjunction applies
 
     def __post_init__(self) -> None:
         r = len(self.basis)
@@ -125,6 +132,8 @@ def _lat(
     canonical: tuple[int, ...],
     named: dict[str, tuple[int, ...]],
     description: str,
+    k2: int,
+    degree: int | None = None,
 ) -> PicardLattice:
     return PicardLattice(
         name=name,
@@ -133,18 +142,13 @@ def _lat(
         canonical=DivisorClass(canonical),
         named={k: DivisorClass(v) for k, v in named.items()},
         description=description,
+        k2=k2,
+        degree=degree,
     )
 
 
-def _hirzebruch(e: int) -> PicardLattice:
+def _hirzebruch(e: int, named: dict[str, tuple[int, ...]]) -> PicardLattice:
     # section E with E^2 = -e, fiber F; K = -2E - (e+2)F, K^2 = 8
-    named: dict[str, tuple[int, ...]] = {}
-    if e in (0, 1):
-        named["H"] = (1, 2)
-    elif e in (2, 3):
-        named["H"] = (1, 3)
-    if e == 2:
-        named["D"] = (1, 2)
     return _lat(
         f"hirzebruch({e})",
         ("E", "F"),
@@ -153,28 +157,19 @@ def _hirzebruch(e: int) -> PicardLattice:
         named,
         f"ruled surface over P^1 with a section of self-intersection -{e}; "
         "H is the hyperplane class of the projective model used by the case table",
+        k2=8,
     )
 
 
-def _blowup_plane(r: int) -> PicardLattice:
+def _blowup_plane(
+    r: int, named: dict[str, tuple[int, ...]], k2: int, degree: int | None = None
+) -> PicardLattice:
     # P^2 blown up at r points, total-transform basis, Gram diag(1, -1, ..., -1)
     basis = ("L",) + tuple(f"E{i}" for i in range(1, r + 1))
     gram = tuple(
         tuple((1 if i == 0 else -1) if i == j else 0 for j in range(r + 1))
         for i in range(r + 1)
     )
-    named: dict[str, tuple[int, ...]] = {}
-    if r == 6:
-        # anticanonical model: a cubic surface with at worst rational double points
-        named["H"] = (3,) + (-1,) * 6
-    if r == 9:
-        # quartic with a double line: H = 4L - 2E1 - E2 - ... - E9,
-        # conic pencil Lam = L - E1, and the two possible triple-point
-        # cycle components meeting the pencil once
-        named["H"] = (4, -2, -1, -1, -1, -1, -1, -1, -1, -1)
-        named["Lam"] = (1, -1, 0, 0, 0, 0, 0, 0, 0, 0)
-        named["A1"] = (0, 1, -1, -1, 0, 0, 0, 0, 0, 0)
-        named["A2"] = (0, 1, 0, 0, -1, -1, 0, 0, 0, 0)
     return _lat(
         f"blowup_plane({r})",
         basis,
@@ -182,17 +177,18 @@ def _blowup_plane(r: int) -> PicardLattice:
         (-3,) + (1,) * r,
         named,
         f"plane blown up at {r} points (total-transform exceptional basis)",
+        k2=k2,
+        degree=degree,
     )
 
 
-_FIXED: dict[str, PicardLattice] = {}
-
-
-def _register(lat: PicardLattice) -> None:
-    _FIXED[lat.name] = lat
-
-
-_register(
+# Every built-in lattice, in declaration order.  The adjunction audit walks
+# the models that carry a surface degree in (degree, declaration order).
+BUILTINS: tuple[PicardLattice, ...] = (
+    _hirzebruch(0, {"H": (1, 2)}),
+    _hirzebruch(1, {"H": (1, 2)}),
+    _hirzebruch(2, {"H": (1, 3), "D": (1, 2)}),
+    _hirzebruch(3, {"H": (1, 3)}),
     _lat(
         "elliptic_cone",
         ("E", "F"),
@@ -201,10 +197,8 @@ _register(
         {"H": (1, 3)},
         "minimal desingularization of the cone over a smooth plane cubic: "
         "ruled over an elliptic curve, E the (-3)-section over the vertex, H = E + 3F",
-    )
-)
-
-_register(
+        k2=0, degree=3,
+    ),
     _lat(
         "quartic_cone",
         ("E0", "F"),
@@ -213,10 +207,8 @@ _register(
         {"H": (1, 4), "E": (2, 0)},
         "cone over a smooth plane quartic: E0 the (-4)-section over the vertex, "
         "anticanonical E = 2E0, H = E0 + 4F",
-    )
-)
-
-_register(
+        k2=-16, degree=4,
+    ),
     _lat(
         "k3_quartic",
         ("H",),
@@ -224,10 +216,8 @@ _register(
         (0,),
         {"H": (1,)},
         "quartic with at worst rational double points: trivial canonical class",
-    )
-)
-
-_register(
+        k2=0, degree=4,
+    ),
     _lat(
         "dp2_sep",
         ("G", "Delta"),
@@ -237,10 +227,8 @@ _register(
         "rational quartic with one irrational double point, built from a degree-2 "
         "weak del Pezzo surface; P is the pulled-back anticanonical net, Delta the "
         "four separation blowups, H = 2P - Delta, E = P - Delta",
-    )
-)
-
-_register(
+        k2=-2, degree=4,
+    ),
     _lat(
         "dp1_sep",
         ("H", "Lam", "Xi", "Delta"),
@@ -254,10 +242,8 @@ _register(
         {"H": (1, 0, 0, 0), "E": (0, 1, -1, -1), "Lam": (0, 1, 0, 0)},
         "rational quartic with one irrational double point, built from a degree-1 "
         "weak del Pezzo surface; Lam is the nef anticanonical pencil, E = Lam - Xi - Delta",
-    )
-)
-
-_register(
+        k2=-1, degree=4,
+    ),
     _lat(
         "dcover_f1",
         ("L", "Ep", "R"),
@@ -271,10 +257,8 @@ _register(
         "rational quartic with one irrational point, from a double cover of a "
         "ruled rational surface; L the rational pencil with L.E = 2, E = Ep + R "
         "with Ep the component meeting L, H = L + 2E",
-    )
-)
-
-_register(
+        k2=-1, degree=4,
+    ),
     _lat(
         "monoid_sep",
         ("P", "D1", "D2", "D3"),
@@ -294,10 +278,8 @@ _register(
         "quartic with a triple point: plane separation of a quartic and a cubic; "
         "Lam the projection net, E the anticanonical cubic, C0 a line-type "
         "component of E in the split configuration",
-    )
-)
-
-_register(
+        k2=-3, degree=4,
+    ),
     _lat(
         "elliptic_ruled_a",
         ("H", "X1", "X2", "F"),
@@ -311,10 +293,8 @@ _register(
         {"H": (1, 0, 0, 0), "E": (0, 1, 1, 0), "F": (0, 0, 0, 1)},
         "quartic swept by an elliptic pencil of twisted cubics (H.F = 3), with two "
         "simple elliptic singularities over the disjoint (-1)-sections X1, X2",
-    )
-)
-
-_register(
+        k2=-2, degree=4,
+    ),
     _lat(
         "elliptic_ruled_b",
         ("H", "E1", "F1", "F2", "F"),
@@ -337,10 +317,8 @@ _register(
         "quartic swept by an elliptic pencil of conics (H.F = 2); the anticanonical "
         "divisor is E1 + E2 with E2 = E1 (two elliptic points) or E2 = E1 + F1 + F2 "
         "(one point, two fiber components)",
-    )
-)
-
-_register(
+        k2=-4, degree=4,
+    ),
     _lat(
         "elliptic_ruled_c",
         ("H", "Xi", "Delta1", "F"),
@@ -354,10 +332,8 @@ _register(
         {"H": (1, 0, 0, 0), "E": (0, 2, 1, 0), "Xi": (0, 1, 0, 0), "F": (0, 0, 0, 1)},
         "quartic swept by an elliptic pencil of twisted cubics with one irrational "
         "point of genus 2; anticanonical E = 2*Xi + Delta1",
-    )
-)
-
-_register(
+        k2=-2, degree=4,
+    ),
     _lat(
         "genus2_scroll",
         ("E", "F"),
@@ -366,10 +342,8 @@ _register(
         {"H": (1, 4), "E": (1, 0)},
         "non-normal quartic scroll over a genus-2 curve (cone over a singular "
         "plane quartic): H = E + 4F",
-    )
-)
-
-_register(
+        k2=-8,
+    ),
     _lat(
         "elliptic_scroll_a",
         ("D1", "F"),
@@ -377,10 +351,8 @@ _register(
         (-2, 0),
         {"H": (1, 2), "D1": (1, 0)},
         "non-normal elliptic scroll with two skew double lines (split bundle)",
-    )
-)
-
-_register(
+        k2=0,
+    ),
     _lat(
         "elliptic_scroll_b",
         ("D1", "F"),
@@ -389,10 +361,8 @@ _register(
         {"H": (1, 2), "D1": (1, 0)},
         "non-normal elliptic scroll with a single double line (non-split bundle); "
         "numerically identical to the split model",
-    )
-)
-
-_register(
+        k2=0,
+    ),
     _lat(
         "veronese",
         ("L",),
@@ -400,10 +370,8 @@ _register(
         (-3,),
         {"H": (2,)},
         "Veronese plane projected to P^3 (Steiner's Roman surface): H = 2L",
-    )
-)
-
-_register(
+        k2=9,
+    ),
     _lat(
         "segre",
         ("L", "E1", "E2", "E3", "E4", "E5"),
@@ -419,58 +387,39 @@ _register(
         {"H": (3, -1, -1, -1, -1, -1)},
         "Segre quartic symmetroid: projection of a degree-4 weak del Pezzo "
         "surface, H = -K",
-    )
+        k2=4,
+    ),
+    # anticanonical model: a cubic surface with at worst rational double points
+    _blowup_plane(6, {"H": (3,) + (-1,) * 6}, k2=3, degree=3),
+    # quartic with a double line: H = 4L - 2E1 - E2 - ... - E9, conic pencil
+    # Lam = L - E1, and the two possible triple-point cycle components meeting
+    # the pencil once
+    _blowup_plane(
+        9,
+        {
+            "H": (4, -2, -1, -1, -1, -1, -1, -1, -1, -1),
+            "Lam": (1, -1, 0, 0, 0, 0, 0, 0, 0, 0),
+            "A1": (0, 1, -1, -1, 0, 0, 0, 0, 0, 0),
+            "A2": (0, 1, 0, 0, -1, -1, 0, 0, 0, 0),
+        },
+        k2=0,
+    ),
 )
 
-
-_PARAM = re.compile(r"^(hirzebruch|blowup_plane)\((\d+)\)$")
-
-# documented self-intersection of the canonical class, checked in the test suite
-CANONICAL_SQUARES: dict[str, int] = {
-    "hirzebruch(0)": 8,
-    "hirzebruch(1)": 8,
-    "hirzebruch(2)": 8,
-    "hirzebruch(3)": 8,
-    "elliptic_cone": 0,
-    "quartic_cone": -16,
-    "k3_quartic": 0,
-    "dp2_sep": -2,
-    "dp1_sep": -1,
-    "dcover_f1": -1,
-    "monoid_sep": -3,
-    "elliptic_ruled_a": -2,
-    "elliptic_ruled_b": -4,
-    "elliptic_ruled_c": -2,
-    "genus2_scroll": -8,
-    "elliptic_scroll_a": 0,
-    "elliptic_scroll_b": 0,
-    "veronese": 9,
-    "segre": 4,
-    "blowup_plane(6)": 3,
-    "blowup_plane(9)": 0,
-}
+_REGISTRY: dict[str, PicardLattice] = {lat.name: lat for lat in BUILTINS}
 
 
 def builtin_lattice(name: str) -> PicardLattice:
     """Built-in lattice by name, e.g. 'hirzebruch(3)' or 'blowup_plane(9)'."""
-    if name in _FIXED:
-        return _FIXED[name]
-    m = _PARAM.match(name)
-    if m:
-        kind, arg = m.group(1), int(m.group(2))
-        if kind == "hirzebruch":
-            if arg not in (0, 1, 2, 3):
-                raise KeyError(f"hirzebruch({arg}) is not a built-in model (e in 0..3)")
-            return _hirzebruch(arg)
-        if arg < 1:
-            raise KeyError(f"blowup_plane({arg}) needs at least one point")
-        return _blowup_plane(arg)
-    raise KeyError(f"unknown lattice {name!r}")
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise KeyError(f"unknown lattice {name!r}") from None
 
 
 def builtin_names() -> list[str]:
     """Names of every built-in lattice instance the case table can refer to."""
-    return sorted(CANONICAL_SQUARES)
+    return sorted(_REGISTRY)
 
 
 def export_lattices(names: list[str] | None = None) -> dict:

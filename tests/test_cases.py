@@ -287,6 +287,32 @@ class TestCheckElimination:
             check_elimination(by_id("cubic-i"), 6, 3, 10)
         with pytest.raises(ValueError):
             check_elimination(by_id("cubic-i"), 6, 4, 14)
+        with pytest.raises(ValueError):
+            check_elimination(by_id("cubic-i"), 9, 3, 50)
+        with pytest.raises(ValueError):
+            check_elimination(by_id("cubic-i"), 6, 4, 15)  # restricted, but not n = 3
+
+    def test_guard_agrees_with_the_triple_table(self):
+        record = by_id("cubic-i")
+        for d in range(5, 10):
+            for g in range(0, 45):
+                for n in (3, 4):
+                    restricted = (d, n, g) in THIRTEEN
+                    try:
+                        check_elimination(record if n == 3 else by_id("quartic-K3"), d, n, g)
+                    except ValueError:
+                        assert not restricted, (d, n, g)
+                    else:
+                        assert restricted, (d, n, g)
+
+    def test_passed_sweep_matches_own_sweep(self):
+        for record in default_cases():
+            for d, n, g in THIRTEEN:
+                if n == record.n:
+                    swept = max_neg_canonical_degree(record, d)
+                    assert check_elimination(record, d, n, g, neg_kappa=swept) == (
+                        check_elimination(record, d, n, g)
+                    )
 
     def test_cubic_simplified_inequalities(self):
         # per-family reduced forms, equivalent to the dimension count
@@ -350,6 +376,18 @@ class TestVerify:
             d, n, g = (int(x[1:]) for x in tail.split("-"))
             seen.add((d, n, g))
         assert seen == set(THIRTEEN)
+
+    def test_one_sweep_per_family_and_degree(self, monkeypatch):
+        import genusgaps.cases as case_mod
+
+        swept = []
+        real = case_mod.max_neg_canonical_degree
+        monkeypatch.setattr(
+            case_mod, "max_neg_canonical_degree",
+            lambda record, d: swept.append((record.id, d)) or real(record, d),
+        )
+        verify_elimination()
+        assert len(swept) == len(set(swept)) == 40  # 8 cubic families x 3 + 16 quartic x 1
 
     def test_order_is_deterministic(self):
         a = [c.check_id for c in verify_elimination().checks]

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +233,41 @@ class TestDeterminism:
         env["NO_COLOR"] = "1"
         colored = run_proc("decompose", "6", env=env)
         assert base.stdout == colored.stdout
+
+
+class TestClosedStdout:
+    """A reader that goes away is not an error: no traceback, the command's own exit code."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["status", "6", "13"],
+            ["decompose", "7", "--format", "csv"],
+            ["bounds", "9", "--format", "json"],
+            ["table", "4", "60"],
+            ["certify", "7", "30"],
+            ["verify", "all", "--format", "csv"],
+        ],
+    )
+    def test_exits_quietly(self, capsys, argv):
+        want = cli.main(argv)
+        capsys.readouterr()
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "genusgaps", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert want in (0, 1)
+        assert proc.returncode == want
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from genusgaps.formulas import arithmetic_genus
 from genusgaps.picard import (
-    CANONICAL_SQUARES,
+    BUILTINS,
     DivisorClass,
     adjunction_genus,
     builtin_lattice,
@@ -20,6 +20,32 @@ from genusgaps.picard import (
     family_dim_bound,
     intersect,
 )
+
+# documented self-intersection of the canonical class: the test-side oracle
+# for the K^2 each built-in lattice carries
+CANONICAL_SQUARES: dict[str, int] = {
+    "hirzebruch(0)": 8,
+    "hirzebruch(1)": 8,
+    "hirzebruch(2)": 8,
+    "hirzebruch(3)": 8,
+    "elliptic_cone": 0,
+    "quartic_cone": -16,
+    "k3_quartic": 0,
+    "dp2_sep": -2,
+    "dp1_sep": -1,
+    "dcover_f1": -1,
+    "monoid_sep": -3,
+    "elliptic_ruled_a": -2,
+    "elliptic_ruled_b": -4,
+    "elliptic_ruled_c": -2,
+    "genus2_scroll": -8,
+    "elliptic_scroll_a": 0,
+    "elliptic_scroll_b": 0,
+    "veronese": 9,
+    "segre": 4,
+    "blowup_plane(6)": 3,
+    "blowup_plane(9)": 0,
+}
 
 # normal models: the hyperplane class is orthogonal to the canonical class
 NORMAL_QUARTICS = (
@@ -60,6 +86,24 @@ class TestBuiltins:
     def test_canonical_square(self, name):
         lat = builtin_lattice(name)
         assert intersect(lat, lat.canonical, lat.canonical) == CANONICAL_SQUARES[name]
+        assert lat.k2 == CANONICAL_SQUARES[name]
+
+    def test_registry_is_the_oracle_key_set(self):
+        assert builtin_names() == sorted(CANONICAL_SQUARES)
+        assert len(BUILTINS) == 21
+        assert all(builtin_lattice(lat.name) is lat for lat in BUILTINS)
+
+    def test_surface_degrees(self):
+        # adjunction applies to the normal cubic and quartic models only
+        degrees = {lat.name: lat.degree for lat in BUILTINS if lat.degree is not None}
+        assert degrees == {
+            "elliptic_cone": 3,
+            "blowup_plane(6)": 3,
+            **{name: 4 for name in NORMAL_QUARTICS},
+        }
+        for name, deg in degrees.items():
+            h = builtin_lattice(name).cls("H")
+            assert intersect(builtin_lattice(name), h, h) == deg
 
     @pytest.mark.parametrize("name", NORMAL_QUARTICS)
     def test_normal_quartic_hyperplane(self, name):
@@ -129,6 +173,10 @@ class TestBuiltins:
             builtin_lattice("banana")
         with pytest.raises(KeyError):
             builtin_lattice("hirzebruch(4)")
+        with pytest.raises(KeyError):
+            builtin_lattice("blowup_plane(7)")
+        with pytest.raises(KeyError):
+            builtin_lattice("blowup_plane(1)")
 
 
 class TestIntersect:
