@@ -14,7 +14,6 @@ case for interval recursions; callers interested in actual curves pass
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 
@@ -28,7 +27,6 @@ def _check_cut(n: int) -> None:
         raise ValueError(f"cutting degree must be >= 0, got {n}")
 
 
-@lru_cache(maxsize=None)
 def ambient_dim(d: int) -> int:
     """Dimension of the projective space of degree-d surfaces in P^3."""
     if d < 0:
@@ -36,7 +34,6 @@ def ambient_dim(d: int) -> int:
     return comb(d + 3, 3) - 1
 
 
-@lru_cache(maxsize=None)
 def linsys_dim(d: int, n: int) -> int:
     """Dimension of the linear system cut on a degree-d surface by degree-n surfaces."""
     _check_degree(d)
@@ -46,7 +43,6 @@ def linsys_dim(d: int, n: int) -> int:
     return ambient_dim(n) - ambient_dim(n - d) - 1
 
 
-@lru_cache(maxsize=None)
 def arithmetic_genus(d: int, n: int) -> int:
     """Arithmetic genus of a complete intersection of degrees (d, n)."""
     _check_degree(d)

@@ -134,21 +134,31 @@ def coarse_horizon(d: int) -> int:
     return d * (d - 1) * (5 * d - 19) // 6 - 1
 
 
+def _least(holds, lo: int, hi: int) -> int:
+    """Least n in [lo, hi] with holds(n), for a predicate that is an upper ray true at hi."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
+    return lo
+
+
 def refined_horizon(d: int) -> int:
     """Tightest window-chaining horizon: gaps can only live in [0, this value].
 
-    Finds the least n* such that consecutive windows join at every n in
-    [n*, d] (beyond d they always join), and returns the last genus below
-    the window chain that starts at n* - 1.
+    Bisects [1, d] for the least n* such that consecutive windows join at
+    every n >= n* (beyond d they always do), and returns the last genus
+    below the window at n* - 1.
+
+    Fact (b): the n in [1, d] where the windows at n-1 and n join form an
+    upper ray.  For n < d they join iff f(n) = C(n+3,3) - d(2n+d-5)/2 >= 0.
+    As f(1) = 4 - d(d-3)/2 < 0 for d >= 5, f turns nonnegative only on a
+    positive step, and the steps f(n+1) - f(n) = C(n+3,2) - d increase.  At
+    n = d, where l changes form, they join iff C(d+3,3) - 1 >= d(3d-5)/2,
+    that is d(d^2 - 3d + 26) >= 0, which always holds.
     """
     _check_d(d, 5)
-    n_star = d + 1
-    for m in range(d, 0, -1):
-        if not contiguity_holds(d, m):
-            break
-        n_star = m
-    n0 = n_star - 1
-    return arithmetic_genus(d, n0) - linsys_dim(d, n0) - 1
+    n_star = _least(lambda n: contiguity_holds(d, n), 1, d)
+    return realizable_interval(d, n_star - 1).lo - 1
 
 
 def _first_n_reaching(d: int, g: int) -> int:
@@ -156,33 +166,28 @@ def _first_n_reaching(d: int, g: int) -> int:
     lo, hi = 1, 1
     while arithmetic_genus(d, hi) < g:
         lo, hi = hi + 1, hi * 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if arithmetic_genus(d, mid) >= g:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _least(lambda n: arithmetic_genus(d, n) >= g, lo, hi)
 
 
 def certify_nongap(d: int, g: int) -> Certificate | None:
     """Smallest-n witness with g inside the degree-n window, or None.
 
-    The scan starts at the least n whose window top reaches g and stops
-    once n >= d with the window bottom above g: from degree d on the
-    bottoms only increase, so no later window can contain g.
+    Windows below n = _first_n_reaching(d, g) end below g, so n is the only
+    candidate: by fact (a), if its window starts above g so do all later ones.
+
+    Fact (a): for d >= 4 the window bottoms b(n) = p_a - l never decrease
+    in n >= 1.  The step s(n) = b(n) - b(n-1) is, for 2 <= n < d, the concave
+    quadratic d(2n+d-5)/2 - C(n+2,2), with s(2) = d(d-1)/2 - 6 >= 0 and
+    s(d-1) = d(d-4) >= 0.  At n = d, where l changes form, it is
+    d(3d-5)/2 - C(d+2,2) + 1 = d(d-4).  For n > d it is
+    d(2n+d-5)/2 - C(n+2,2) + C(n-d+2,2) = d(d-4).
     """
     _check_d(d, 4)
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
     n = _first_n_reaching(d, g)
-    while True:
-        lo = arithmetic_genus(d, n) - linsys_dim(d, n)
-        if lo <= g:
-            return Certificate(n=n, delta=arithmetic_genus(d, n) - g)
-        if n >= d and lo > g:
-            return None
-        n += 1
+    w = realizable_interval(d, n)
+    return Certificate(n=n, delta=w.hi - g) if w.lo <= g else None
 
 
 def status(d: int, g: int) -> GapStatus:
@@ -202,18 +207,17 @@ def status(d: int, g: int) -> GapStatus:
 
 
 def _window_union_within(d: int, horizon: int) -> IntervalSet:
-    """Union of all realizable windows clipped to [0, horizon]."""
-    bound = Interval(0, horizon)
+    """Union of all realizable windows clipped to [0, horizon].
+
+    Window bottoms never decrease (fact (a), see ``certify_nongap``), so
+    the scan stops at the first window that starts above ``horizon``.
+    """
     parts = []
     n = 1
-    while True:
-        w = realizable_interval(d, n)
-        if n >= d and w.lo > horizon:
-            break
-        if w.lo <= horizon:
-            parts.append(Interval(w.lo, min(w.hi, horizon)))
+    while (w := realizable_interval(d, n)).lo <= horizon:
+        parts.append(Interval(w.lo, min(w.hi, horizon)))
         n += 1
-    return IntervalSet(parts).clip(bound)
+    return IntervalSet(parts).clip(Interval(0, horizon))
 
 
 def decompose(d: int) -> GapDecomposition:

@@ -1,9 +1,9 @@
 """Golden CLI outputs: sha256 of stdout and the exit code for fixed argv.
 
 Every command in every format, plus edge cases (degree 4, low degree, a
-genus with no certificate, a table range starting at degree 4) and usage
-errors.  The digests pin the output byte for byte, so any change to how a
-record is rendered shows here.
+genus with no certificate, a table range starting at degree 4, degrees up
+to 10**6) and usage errors.  The digests pin the output byte for byte, so
+any change to how a record is rendered shows here.
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ GOLDEN = {
     "decompose 3 --format json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "table 9 4": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "status 6 -1 --format csv": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    # large degrees: a genus between windows 50 and 51, one in window 50, and the horizon searches
+    "status 1000000 1000000000000000": ("ae3411feb9a8faed80f1129ae5466d4ad500a56829f1eb1bc1927ed63c77a749", 0),
+    "certify 100000 250115000003": ("826c21311398e4f5f4c58af98c0364d2b777aee28acca2fe78405abe1cfc0ba7", 0),
+    "status 100000 250115000001 --format json": ("e7681e1c490f0e6e644975cf1b98a9793ce2c0da9e1a46b23829ee0f2891fb3c", 0),
+    "bounds 1000000 --format csv": ("d42fccfb7b5cffffd78883de6034cba36df1c2bc9d056ca303d6a2e0f40a6f02", 0),
+    "decompose 50000 --format csv": ("1a92bc36775ac40c433e48059ff5c551a769e977f5714b537951223c2804dc81", 0),
 }
 
 # stderr of the usage errors above, byte for byte
