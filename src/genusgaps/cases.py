@@ -30,7 +30,8 @@ JSON schema (one object)::
         lattice: str               # built-in lattice name
         gamma: { base: str,        # class scaled by the triple's d (always "H")
                  subtract: [ { cls: str, param: str, lo: int, hi: int|null } ] }
-        constraints: [ { cls: str, min: int } ]
+        constraints: [ { cls: str, min: int } ]   # gamma . cls >= min; each
+                                   # subtract cls must meet each constraint cls >= 0
         family_dim: int
         mode: "dim-count" | "direct-dim"
         threshold: int             # required iff mode == "direct-dim"
@@ -138,8 +139,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    ok: bool
     checks: tuple[CheckResult, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
 
 
 def load_cases(path: str | Path | None = None) -> tuple[CaseRecord, ...]:
@@ -219,6 +223,9 @@ def _validate_record(record: CaseRecord) -> None:
     for c in record.constraints:
         if c.min_value < 0:
             raise CaseDataError(f"{record.id}: negative constraint bound on {c.cls}")
+        for p in record.params:
+            if intersect(lat, lat.cls(p.cls), lat.cls(c.cls)) < 0:
+                raise CaseDataError(f"{record.id}: {p.cls} meets pencil {c.cls} negatively")
     if record.hilbert_component_dims:
         # family_dim derives from the largest Hilbert component minus the
         # 12-dimensional freedom of the projection data
@@ -288,42 +295,36 @@ def _is_restricted(d: int, n: int, g: int) -> bool:
     return window is not None and g in window and n in allowed_cutting_degrees(d, g)
 
 
-def _sweep_space(
-    record: CaseRecord, lat: PicardLattice, d: int
-) -> tuple[list[range], list[tuple[DivisorClass, int, str]]]:
-    """Finite enumeration ranges for the parameters, plus evaluated constraints."""
-    kanon = lat.canonical
-    constraints = [(lat.cls(c.cls), c.min_value, c.cls) for c in record.constraints]
+def _sweep_space(record: CaseRecord, lat: PicardLattice, d: int) -> list[range]:
+    """Finite enumeration ranges for the parameters.
 
+    Parameters are >= 0 and each parameter class meets each constraint pencil
+    non-negatively (``load_cases`` checks it), so gamma . pencil never rises
+    as a parameter grows.  An admissible class thus has
+    v * coef <= d*(base . pencil) - min for each pencil with
+    coef = sub . pencil > 0, whatever the other parameters are.  A parameter
+    no pencil caps and no ``hi`` bounds never affects admissibility: it is
+    pinned at ``lo`` if K . sub <= 0 (it cannot raise -kappa), else unbounded.
+    """
     base = lat.cls(record.base)
     ranges: list[range] = []
     for p in record.params:
         sub = lat.cls(p.cls)
         hi = p.hi
-        for pencil, min_value, pencil_label in constraints:
+        for c in record.constraints:
+            pencil = lat.cls(c.cls)
             coef = intersect(lat, sub, pencil)
-            if coef <= 0:
-                continue  # subtracting this class does not tighten the constraint
-            budget = d * intersect(lat, base, pencil) - min_value
-            others = sum(
-                q.lo * max(intersect(lat, lat.cls(q.cls), pencil), 0)
-                for q in record.params
-                if q.label != p.label
-            )
-            cap = (budget - others) // coef
-            if cap < p.lo:
-                raise CaseDataError(
-                    f"{record.id}: constraint on {pencil_label} infeasible at d={d}"
-                )
-            hi = cap if hi is None else min(hi, cap)
+            if coef > 0:
+                cap = (d * intersect(lat, base, pencil) - c.min_value) // coef
+                hi = cap if hi is None else min(hi, cap)
         if hi is None:
-            if intersect(lat, kanon, sub) > 0:
+            if intersect(lat, lat.canonical, sub) > 0:
                 raise CaseDataError(
                     f"{record.id}: parameter {p.label} unbounded with negative kappa"
                 )
-            hi = p.lo  # cannot improve the objective, pin at the lower bound
+            hi = p.lo
         ranges.append(range(p.lo, hi + 1))
-    return ranges, constraints
+    return ranges
 
 
 def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
@@ -334,16 +335,13 @@ def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
     enters the verification path.
     """
     lat = builtin_lattice(record.lattice)
-    ranges, constraints = _sweep_space(record, lat, d)
+    pencils = [(lat.cls(c.cls), c.min_value) for c in record.constraints]
     best: int | None = None
     labels = [p.label for p in record.params]
-    for point in itertools.product(*ranges):
+    for point in itertools.product(*_sweep_space(record, lat, d)):
         values = dict(zip(labels, point))
         gamma = gamma_class(record, lat, d, values)
-        if any(
-            intersect(lat, gamma, pencil) < min_value
-            for pencil, min_value, _ in constraints
-        ):
+        if any(intersect(lat, gamma, pencil) < min_value for pencil, min_value in pencils):
             continue
         neg_kappa = -canonical_degree(lat, gamma)
         if best is None or neg_kappa > best:
@@ -354,39 +352,44 @@ def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
 
 
 def check_elimination(
-    record: CaseRecord, d: int, n: int, g: int, *, neg_kappa: int | None = None
-) -> EliminationCheck:
-    """Exact dimension-count check that genus g cannot occur in this family.
+    record: CaseRecord, d: int, genera: tuple[int, ...]
+) -> tuple[EliminationCheck, ...]:
+    """Exact dimension-count checks that no genus in ``genera`` occurs in this family.
 
-    ``neg_kappa`` is ``max_neg_canonical_degree(record, d)``, which does not
-    depend on g; a caller checking several genera sweeps once and passes it.
+    Each ``(d, record.n, g)`` must be a restricted triple, else ``ValueError``.
+    -kappa does not depend on g, so one sweep serves every genus; the checks
+    come back one per genus, in the order given.
     """
-    if not _is_restricted(d, n, g):
-        raise ValueError(f"({d}, {n}, {g}) is not a restricted triple")
-    if record.n != n:
-        raise ValueError(f"{record.id} covers cutting degree {record.n}, not {n}")
-    if neg_kappa is None:
-        neg_kappa = max_neg_canonical_degree(record, d)
-    v_bound = family_dim_bound(g, -neg_kappa)
-    if record.mode == "direct-dim":
-        assert record.threshold is not None
-        lhs, rhs = record.family_dim, record.threshold
-    else:
-        lhs, rhs = record.family_dim + v_bound, cut_system_dim(n, d)
-    return EliminationCheck(
-        case_id=record.id,
-        d=d,
-        n=n,
-        g=g,
-        mode=record.mode,
-        family_dim=record.family_dim,
-        max_neg_kappa=neg_kappa,
-        v_bound=v_bound,
-        lhs=lhs,
-        rhs=rhs,
-        ok=lhs < rhs,
-        delegated=record.delegated,
-    )
+    n = record.n
+    for g in genera:
+        if not _is_restricted(d, n, g):
+            raise ValueError(f"({d}, {n}, {g}) is not a restricted triple")
+    neg_kappa = max_neg_canonical_degree(record, d)
+    checks = []
+    for g in genera:
+        v_bound = family_dim_bound(g, -neg_kappa)
+        if record.mode == "direct-dim":
+            assert record.threshold is not None
+            lhs, rhs = record.family_dim, record.threshold
+        else:
+            lhs, rhs = record.family_dim + v_bound, cut_system_dim(n, d)
+        checks.append(
+            EliminationCheck(
+                case_id=record.id,
+                d=d,
+                n=n,
+                g=g,
+                mode=record.mode,
+                family_dim=record.family_dim,
+                max_neg_kappa=neg_kappa,
+                v_bound=v_bound,
+                lhs=lhs,
+                rhs=rhs,
+                ok=lhs < rhs,
+                delegated=record.delegated,
+            )
+        )
+    return tuple(checks)
 
 
 def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
@@ -398,17 +401,15 @@ def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> Verificat
         # triples are sorted by d, so each degree's genera come in one run
         ours = (t for t in triples if t[1] == record.n)
         for d, run in itertools.groupby(ours, key=lambda t: t[0]):
-            neg_kappa = max_neg_canonical_degree(record, d)
-            for _, n, g in run:
-                res = check_elimination(record, d, n, g, neg_kappa=neg_kappa)
+            for res in check_elimination(record, d, tuple(g for _, _, g in run)):
                 checks.append(
                     CheckResult(
-                        check_id=f"eliminate/{record.id}/d{d}-n{n}-g{g}",
+                        check_id=f"eliminate/{record.id}/d{d}-n{res.n}-g{res.g}",
                         ok=res.ok,
                         detail=res.detail(),
                     )
                 )
-    return VerificationReport(ok=all(c.ok for c in checks), checks=tuple(checks))
+    return VerificationReport(checks=tuple(checks))
 
 
 def _kappa_checks(records: tuple[CaseRecord, ...]) -> list[CheckResult]:
@@ -460,13 +461,11 @@ def _lattice_checks() -> list[CheckResult]:
 def verify_kappa(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
     """Audit the lattice engine: documented kappa bounds, K^2 values, adjunction."""
     records = default_cases() if cases is None else cases
-    checks = _kappa_checks(records) + _lattice_checks()
-    return VerificationReport(ok=all(c.ok for c in checks), checks=tuple(checks))
+    return VerificationReport(checks=tuple(_kappa_checks(records) + _lattice_checks()))
 
 
 def verify_all(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
     records = default_cases() if cases is None else cases
-    first = verify_elimination(records)
-    second = verify_kappa(records)
-    checks = first.checks + second.checks
-    return VerificationReport(ok=first.ok and second.ok, checks=checks)
+    return VerificationReport(
+        checks=verify_elimination(records).checks + verify_kappa(records).checks
+    )

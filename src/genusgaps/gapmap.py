@@ -238,14 +238,14 @@ def decompose(d: int) -> GapDecomposition:
     sources = _proved_gaps(d)
     proved = IntervalSet(gaps for gaps, _ in sources).clip(bound)
     certified = _window_union_within(d, horizon)
-    if proved.union(certified).count != proved.count + certified.count:
+    covered = proved.union(certified)
+    if covered.count != proved.count + certified.count:
         raise ArithmeticError(f"d={d}: proved gaps overlap certified non-gaps")
-    unknown = proved.union(certified).complement_within(bound)
     return GapDecomposition(
         d=d,
         horizon=horizon,
         proved_gaps=proved,
-        unknown_candidates=unknown,
+        unknown_candidates=covered.complement_within(bound),
         nongap_certified=certified,
         proved_sources=sources,
     )

@@ -12,6 +12,7 @@ from genusgaps.cases import (
     CaseRecord,
     SweepConstraint,
     SweepParam,
+    _parse_record,
     allowed_cutting_degrees,
     check_elimination,
     default_cases,
@@ -170,6 +171,32 @@ class TestCaseTable:
         with pytest.raises(CaseDataError):
             load_cases(self._patched(tmp_path, mutate))
 
+    def test_parameter_meeting_a_pencil_negatively_rejected(self, tmp_path):
+        # E2 . F1 = -1, so raising a raises gamma . F1 and makes room for b:
+        # b = a = 4 has gamma . F1 = 0 and -kappa = 16, outside the per-pencil
+        # box b in [0, 0], which sweeps to 8
+        raw = {
+            "id": "ruled-b-negative-pair",
+            "n": 4,
+            "lattice": "elliptic_ruled_b",
+            "gamma": {
+                "base": "H",
+                "subtract": [
+                    {"cls": "E1", "param": "b"},
+                    {"cls": "E2", "param": "a", "lo": 0, "hi": 4},
+                ],
+            },
+            "constraints": [{"cls": "F1", "min": 0}],
+            "family_dim": 34,
+            "mode": "dim-count",
+            "expected_neg_kappa": {"per_d": 0, "const": 8},
+        }
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps({"schema_version": "genusgaps-cases/1", "cases": [raw]}))
+        with pytest.raises(CaseDataError, match="ruled-b-negative-pair"):
+            load_cases(path)
+        assert oracle_max_neg_kappa(_parse_record(raw), 6, 40) == 16
+
 
 def oracle_max_neg_kappa(record: CaseRecord, d: int, box: int) -> int:
     """Independent brute-force sweep with its own Gram evaluation."""
@@ -274,23 +301,23 @@ class TestMaxNegKappa:
 
 class TestCheckElimination:
     def test_documented_examples(self):
-        res = check_elimination(by_id("cubic-i"), 6, 3, 15)
-        assert (res.family_dim, res.v_bound, res.lhs, res.rhs) == (19, 32, 51, 63)
+        (res,) = check_elimination(by_id("cubic-i"), 6, (15,))
+        assert (res.n, res.family_dim, res.v_bound, res.lhs, res.rhs) == (3, 19, 32, 51, 63)
         assert res.ok
-        res = check_elimination(by_id("quartic-K3"), 6, 4, 15)
-        assert (res.lhs, res.rhs, res.ok) == (34 + 15, 73, True)
-        res = check_elimination(by_id("quartic-rational-c"), 6, 4, 15)
+        (res,) = check_elimination(by_id("quartic-K3"), 6, (15,))
+        assert (res.n, res.lhs, res.rhs, res.ok) == (4, 34 + 15, 73, True)
+        (res,) = check_elimination(by_id("quartic-rational-c"), 6, (15,))
         assert (res.mode, res.lhs, res.rhs, res.ok) == ("direct-dim", 17, 23, True)
 
     def test_rejects_unrestricted_triple(self):
         with pytest.raises(ValueError):
-            check_elimination(by_id("cubic-i"), 6, 3, 10)
+            check_elimination(by_id("cubic-i"), 6, (10,))
         with pytest.raises(ValueError):
-            check_elimination(by_id("cubic-i"), 6, 4, 14)
+            check_elimination(by_id("quartic-K3"), 6, (13,))  # restricted for n = 3, not 4
         with pytest.raises(ValueError):
-            check_elimination(by_id("cubic-i"), 9, 3, 50)
+            check_elimination(by_id("cubic-i"), 9, (50,))
         with pytest.raises(ValueError):
-            check_elimination(by_id("cubic-i"), 6, 4, 15)  # restricted, but not n = 3
+            check_elimination(by_id("cubic-i"), 6, (15, 10))  # one bad genus spoils the call
 
     def test_guard_agrees_with_the_triple_table(self):
         record = by_id("cubic-i")
@@ -299,20 +326,21 @@ class TestCheckElimination:
                 for n in (3, 4):
                     restricted = (d, n, g) in THIRTEEN
                     try:
-                        check_elimination(record if n == 3 else by_id("quartic-K3"), d, n, g)
+                        check_elimination(record if n == 3 else by_id("quartic-K3"), d, (g,))
                     except ValueError:
                         assert not restricted, (d, n, g)
                     else:
                         assert restricted, (d, n, g)
 
-    def test_passed_sweep_matches_own_sweep(self):
+    def test_multi_genus_call_matches_single_calls(self):
         for record in default_cases():
-            for d, n, g in THIRTEEN:
-                if n == record.n:
-                    swept = max_neg_canonical_degree(record, d)
-                    assert check_elimination(record, d, n, g, neg_kappa=swept) == (
-                        check_elimination(record, d, n, g)
-                    )
+            for d in (6, 7, 8):
+                genera = tuple(g for dd, n, g in THIRTEEN if dd == d and n == record.n)
+                if not genera:
+                    continue
+                singles = tuple(c for g in genera for c in check_elimination(record, d, (g,)))
+                assert check_elimination(record, d, genera) == singles
+                assert check_elimination(record, d, genera[::-1]) == singles[::-1]
 
     def test_cubic_simplified_inequalities(self):
         # per-family reduced forms, equivalent to the dimension count
@@ -344,8 +372,7 @@ class TestCheckElimination:
             neg = max_neg_canonical_degree(record, 6)
             assert neg <= 25, record.id
             assert family_dim_bound(15, -neg) <= 39, record.id
-            for g in (14, 15):
-                res = check_elimination(record, 6, 4, g)
+            for res in check_elimination(record, 6, (14, 15)):
                 assert res.family_dim == 34 and res.ok, record.id
         # sharpness of the equivalence at genus 15
         assert family_dim_bound(15, -25) == 39
@@ -388,6 +415,33 @@ class TestVerify:
         )
         verify_elimination()
         assert len(swept) == len(set(swept)) == 40  # 8 cubic families x 3 + 16 quartic x 1
+
+    def test_verify_all_work_counts(self, monkeypatch):
+        import genusgaps.cases as case_mod
+
+        counts = {"max_neg_canonical_degree": 0, "check_elimination": 0, "gamma_class": 0}
+
+        def counted(name):
+            real = getattr(case_mod, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(case_mod, name, counted(name))
+        verify_all()
+        # 40 elimination sweeps, one per (family, degree) run, plus the audit's
+        # 8 cubic families x 16 degrees + 16 quartic families x 1
+        assert counts["max_neg_canonical_degree"] == 40 + 8 * 16 + 16
+        assert counts["check_elimination"] == 40
+        counts["gamma_class"] = 0
+        for record in default_cases():
+            for d in range(5, 21) if record.n == 3 else (6,):
+                max_neg_canonical_degree(record, d)
+        assert counts["gamma_class"] == 767  # one per box point at the audit degrees
 
     def test_order_is_deterministic(self):
         a = [c.check_id for c in verify_elimination().checks]

@@ -186,7 +186,6 @@ class TestVerify:
     def test_failure_exits_one(self, capsys, monkeypatch):
         def broken():
             return VerificationReport(
-                ok=False,
                 checks=(CheckResult(check_id="eliminate/x/y", ok=False, detail="boom"),),
             )
 
