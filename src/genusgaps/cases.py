@@ -30,6 +30,8 @@ JSON schema (one object)::
         lattice: str               # built-in lattice name
         gamma: { base: str,        # class scaled by the triple's d (always "H")
                  subtract: [ { cls: str, param: str, lo: int, hi: int|null } ] }
+                                   # param only names the parameter in messages;
+                                   # sweep values are taken in list order
         constraints: [ { cls: str, min: int } ]   # gamma . cls >= min; each
                                    # subtract cls must meet each constraint cls >= 0
         family_dim: int
@@ -49,6 +51,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NoReturn
 
 from .formulas import arithmetic_genus, clemens_min_genus, cut_system_dim
 from .gapmap import candidate_gap_interval
@@ -69,7 +72,7 @@ RESTRICTED_DEGREES = (6, 7, 8)
 
 
 class CaseDataError(Exception):
-    """The case table is internally inconsistent (a data-entry bug)."""
+    """The case table or a case record is malformed or inconsistent (a data-entry bug)."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,49 @@ class CaseRecord:
     expected_neg_kappa: tuple[int, int] = (0, 0)  # (per_d, const)
     description: str = ""
     delegated: bool = False
+
+    def __post_init__(self) -> None:
+        """Check every d-independent invariant; every record, parsed or built, passes here."""
+
+        def fail(why: str) -> NoReturn:
+            raise CaseDataError(f"{self.id}: {why}")
+
+        if self.family_dim < 0:
+            fail("family_dim must be >= 0")
+        if self.n not in (3, 4):
+            fail("cutting degree must be 3 or 4")
+        if self.mode not in ("dim-count", "direct-dim"):
+            fail(f"unknown mode {self.mode!r}")
+        if (self.mode == "direct-dim") != (self.threshold is not None):
+            fail("threshold must accompany direct-dim mode")
+        try:
+            lat = builtin_lattice(self.lattice)
+            for label in (self.base, *(p.cls for p in self.params),
+                          *(c.cls for c in self.constraints)):
+                lat.cls(label)
+        except KeyError as exc:
+            raise CaseDataError(f"{self.id}: {exc}") from exc
+        for c in self.constraints:
+            if c.min_value < 0:
+                fail(f"negative constraint bound on {c.cls}")
+        for p in self.params:
+            if p.lo < 0 or (p.hi is not None and p.hi < p.lo):
+                fail(f"bad domain for parameter {p.label}")
+            sub = lat.cls(p.cls)
+            coefs = [intersect(lat, sub, lat.cls(c.cls)) for c in self.constraints]
+            for c, coef in zip(self.constraints, coefs):
+                if coef < 0:
+                    fail(f"{p.cls} meets pencil {c.cls} negatively")
+            # every coef is >= 0 here, so no pencil caps p iff all are 0
+            if p.hi is None and not any(coefs) and intersect(lat, lat.canonical, sub) > 0:
+                fail(f"parameter {p.label} unbounded with negative kappa")
+        if self.hilbert_component_dims:
+            # family_dim derives from the largest Hilbert component minus the
+            # 12-dimensional freedom of the projection data
+            derived = max(self.hilbert_component_dims) - 12
+            if derived != self.family_dim:
+                fail(f"family_dim {self.family_dim} does not match"
+                     f" Hilbert data {self.hilbert_component_dims}")
 
 
 @dataclass(frozen=True)
@@ -152,89 +198,77 @@ def load_cases(path: str | Path | None = None) -> tuple[CaseRecord, ...]:
         text = resources.files("genusgaps").joinpath("data/cases.json").read_text()
     else:
         text = Path(path).read_text()
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise CaseDataError(
-            f"unsupported case schema {doc.get('schema_version')!r},"
-            f" expected {SCHEMA_VERSION!r}"
-        )
-    records = tuple(_parse_record(raw) for raw in doc["cases"])
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise CaseDataError(f"case table is not valid JSON: {exc}") from None
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise CaseDataError(f"unsupported case schema {version!r}, expected {SCHEMA_VERSION!r}")
+    if not isinstance(doc.get("cases"), list):
+        raise CaseDataError("case table has no 'cases' list")
+    records = tuple(_parse_record(raw, pos) for pos, raw in enumerate(doc["cases"]))
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
         raise CaseDataError("duplicate case ids")
-    for record in records:
-        _validate_record(record)
     return records
 
 
-def _parse_record(raw: dict) -> CaseRecord:
-    gamma = raw["gamma"]
-    nk = raw["expected_neg_kappa"]
+_REQUIRED = object()
+
+
+def _parse_record(raw: object, pos: int) -> CaseRecord:
+    """The record encoded by one JSON object of the ``cases`` list.
+
+    A missing key or a value of the wrong JSON type raises ``CaseDataError``
+    naming the record by its ``id``, or by its position if that is no string.
+    """
+    name = raw.get("id") if isinstance(raw, dict) else None
+    name = name if isinstance(name, str) else f"cases[{pos}]"
+
+    def get(obj: object, key: str, *kinds: type, default: object = _REQUIRED):
+        # exact types, so that an int field takes no bool
+        if not isinstance(obj, dict):
+            raise CaseDataError(f"{name}: expected an object, got {type(obj).__name__}")
+        if key not in obj:
+            if default is _REQUIRED:
+                raise CaseDataError(f"{name}: missing key {key!r}")
+            return default
+        if type(obj[key]) not in kinds:
+            raise CaseDataError(f"{name}: bad value {obj[key]!r} for {key!r}")
+        return obj[key]
+
+    gamma = get(raw, "gamma", dict)
+    nk = get(raw, "expected_neg_kappa", dict)
+    dims = get(raw, "hilbert_component_dims", list, default=[])
+    if any(type(v) is not int for v in dims):
+        raise CaseDataError(f"{name}: hilbert_component_dims must hold integers")
     return CaseRecord(
-        id=raw["id"],
-        n=raw["n"],
-        lattice=raw["lattice"],
-        base=gamma.get("base", "H"),
+        id=get(raw, "id", str),
+        n=get(raw, "n", int),
+        lattice=get(raw, "lattice", str),
+        base=get(gamma, "base", str, default="H"),
         params=tuple(
             SweepParam(
-                label=s["param"],
-                cls=s["cls"],
-                lo=s.get("lo", 0),
-                hi=s.get("hi"),
+                label=get(s, "param", str),
+                cls=get(s, "cls", str),
+                lo=get(s, "lo", int, default=0),
+                hi=get(s, "hi", int, type(None), default=None),
             )
-            for s in gamma.get("subtract", ())
+            for s in get(gamma, "subtract", list, default=[])
         ),
         constraints=tuple(
-            SweepConstraint(cls=c["cls"], min_value=c["min"])
-            for c in raw.get("constraints", ())
+            SweepConstraint(cls=get(c, "cls", str), min_value=get(c, "min", int))
+            for c in get(raw, "constraints", list, default=[])
         ),
-        family_dim=raw["family_dim"],
-        mode=raw["mode"],
-        threshold=raw.get("threshold"),
-        hilbert_component_dims=tuple(raw.get("hilbert_component_dims", ())),
-        expected_neg_kappa=(nk["per_d"], nk["const"]),
-        description=raw.get("description", ""),
-        delegated=raw.get("delegated", False),
+        family_dim=get(raw, "family_dim", int),
+        mode=get(raw, "mode", str),
+        threshold=get(raw, "threshold", int, type(None), default=None),
+        hilbert_component_dims=tuple(dims),
+        expected_neg_kappa=(get(nk, "per_d", int), get(nk, "const", int)),
+        description=get(raw, "description", str, default=""),
+        delegated=get(raw, "delegated", bool, default=False),
     )
-
-
-def _validate_record(record: CaseRecord) -> None:
-    if record.family_dim < 0:
-        raise CaseDataError(f"{record.id}: family_dim must be >= 0")
-    if record.n not in (3, 4):
-        raise CaseDataError(f"{record.id}: cutting degree must be 3 or 4")
-    if record.mode not in ("dim-count", "direct-dim"):
-        raise CaseDataError(f"{record.id}: unknown mode {record.mode!r}")
-    if (record.mode == "direct-dim") != (record.threshold is not None):
-        raise CaseDataError(f"{record.id}: threshold must accompany direct-dim mode")
-    try:
-        lat = builtin_lattice(record.lattice)
-    except KeyError as exc:
-        raise CaseDataError(f"{record.id}: {exc}") from exc
-    for label in (record.base, *(p.cls for p in record.params),
-                  *(c.cls for c in record.constraints)):
-        try:
-            lat.cls(label)
-        except KeyError as exc:
-            raise CaseDataError(f"{record.id}: {exc}") from exc
-    for p in record.params:
-        if p.lo < 0 or (p.hi is not None and p.hi < p.lo):
-            raise CaseDataError(f"{record.id}: bad domain for parameter {p.label}")
-    for c in record.constraints:
-        if c.min_value < 0:
-            raise CaseDataError(f"{record.id}: negative constraint bound on {c.cls}")
-        for p in record.params:
-            if intersect(lat, lat.cls(p.cls), lat.cls(c.cls)) < 0:
-                raise CaseDataError(f"{record.id}: {p.cls} meets pencil {c.cls} negatively")
-    if record.hilbert_component_dims:
-        # family_dim derives from the largest Hilbert component minus the
-        # 12-dimensional freedom of the projection data
-        derived = max(record.hilbert_component_dims) - 12
-        if derived != record.family_dim:
-            raise CaseDataError(
-                f"{record.id}: family_dim {record.family_dim} does not match"
-                f" Hilbert data {record.hilbert_component_dims}"
-            )
 
 
 def default_cases() -> tuple[CaseRecord, ...]:
@@ -247,12 +281,12 @@ def expected_neg_kappa(record: CaseRecord, d: int) -> int:
 
 
 def gamma_class(
-    record: CaseRecord, lat: PicardLattice, d: int, values: dict[str, int]
+    record: CaseRecord, lat: PicardLattice, d: int, values: tuple[int, ...]
 ) -> DivisorClass:
-    """Instantiated curve class d*base - sum(values[param] * class)."""
+    """Instantiated curve class d*base - sum(values[i] * record.params[i].cls)."""
     cls = d * lat.cls(record.base)
-    for p in record.params:
-        cls = cls - values[p.label] * lat.cls(p.cls)
+    for p, value in zip(record.params, values, strict=True):
+        cls = cls - value * lat.cls(p.cls)
     return cls
 
 
@@ -299,12 +333,13 @@ def _sweep_space(record: CaseRecord, lat: PicardLattice, d: int) -> list[range]:
     """Finite enumeration ranges for the parameters.
 
     Parameters are >= 0 and each parameter class meets each constraint pencil
-    non-negatively (``load_cases`` checks it), so gamma . pencil never rises
-    as a parameter grows.  An admissible class thus has
-    v * coef <= d*(base . pencil) - min for each pencil with
+    non-negatively (the ``CaseRecord`` constructor checks it), so
+    gamma . pencil never rises as a parameter grows.  An admissible class
+    thus has v * coef <= d*(base . pencil) - min for each pencil with
     coef = sub . pencil > 0, whatever the other parameters are.  A parameter
-    no pencil caps and no ``hi`` bounds never affects admissibility: it is
-    pinned at ``lo`` if K . sub <= 0 (it cannot raise -kappa), else unbounded.
+    no pencil caps and no ``hi`` bounds never affects admissibility, and the
+    constructor has checked K . sub <= 0, so raising it cannot raise -kappa:
+    it is pinned at ``lo``.
     """
     base = lat.cls(record.base)
     ranges: list[range] = []
@@ -317,13 +352,7 @@ def _sweep_space(record: CaseRecord, lat: PicardLattice, d: int) -> list[range]:
             if coef > 0:
                 cap = (d * intersect(lat, base, pencil) - c.min_value) // coef
                 hi = cap if hi is None else min(hi, cap)
-        if hi is None:
-            if intersect(lat, lat.canonical, sub) > 0:
-                raise CaseDataError(
-                    f"{record.id}: parameter {p.label} unbounded with negative kappa"
-                )
-            hi = p.lo
-        ranges.append(range(p.lo, hi + 1))
+        ranges.append(range(p.lo, (p.lo if hi is None else hi) + 1))
     return ranges
 
 
@@ -332,15 +361,14 @@ def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
 
     Enumerates the (small) feasible box of integer parameters and evaluates
     kappa through the Gram matrix each time; no cached or hand-copied value
-    enters the verification path.
+    enters the verification path.  The box is sound for any record: the
+    ``CaseRecord`` constructor checks what ``_sweep_space`` relies on.
     """
     lat = builtin_lattice(record.lattice)
     pencils = [(lat.cls(c.cls), c.min_value) for c in record.constraints]
     best: int | None = None
-    labels = [p.label for p in record.params]
     for point in itertools.product(*_sweep_space(record, lat, d)):
-        values = dict(zip(labels, point))
-        gamma = gamma_class(record, lat, d, values)
+        gamma = gamma_class(record, lat, d, point)
         if any(intersect(lat, gamma, pencil) < min_value for pencil, min_value in pencils):
             continue
         neg_kappa = -canonical_degree(lat, gamma)
@@ -369,7 +397,6 @@ def check_elimination(
     for g in genera:
         v_bound = family_dim_bound(g, -neg_kappa)
         if record.mode == "direct-dim":
-            assert record.threshold is not None
             lhs, rhs = record.family_dim, record.threshold
         else:
             lhs, rhs = record.family_dim + v_bound, cut_system_dim(n, d)

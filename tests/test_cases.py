@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from importlib import resources
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from genusgaps.cases import (
     CaseDataError,
     CaseRecord,
     SweepConstraint,
     SweepParam,
-    _parse_record,
     allowed_cutting_degrees,
     check_elimination,
     default_cases,
@@ -63,8 +67,21 @@ NEG_KAPPA_TABLE = {
 }
 
 
+SHIPPED = json.loads(resources.files("genusgaps").joinpath("data/cases.json").read_text())
+DELETE = object()  # fuzz mutation: drop the key
+
+
 def by_id(case_id: str) -> CaseRecord:
     return next(r for r in default_cases() if r.id == case_id)
+
+
+def mutation_sites(raw: dict):
+    """The JSON objects of one shipped record whose keys the fuzz test mutates."""
+    yield raw
+    yield raw["gamma"]
+    yield from raw["gamma"].get("subtract", ())
+    yield from raw.get("constraints", ())
+    yield raw["expected_neg_kappa"]
 
 
 class TestRestrictedTriples:
@@ -110,8 +127,6 @@ class TestCaseTable:
         assert delegated == {"cubic-ii.c-dag", "cubic-ii.c-ddag"}
 
     def test_external_file_round_trip(self, tmp_path):
-        from importlib import resources
-
         text = resources.files("genusgaps").joinpath("data/cases.json").read_text()
         path = tmp_path / "cases.json"
         path.write_text(text)
@@ -124,11 +139,7 @@ class TestCaseTable:
             load_cases(path)
 
     def _patched(self, tmp_path, mutate) -> str:
-        from importlib import resources
-
-        doc = json.loads(
-            resources.files("genusgaps").joinpath("data/cases.json").read_text()
-        )
+        doc = copy.deepcopy(SHIPPED)
         mutate(doc)
         path = tmp_path / "cases.json"
         path.write_text(json.dumps(doc))
@@ -195,7 +206,123 @@ class TestCaseTable:
         path.write_text(json.dumps({"schema_version": "genusgaps-cases/1", "cases": [raw]}))
         with pytest.raises(CaseDataError, match="ruled-b-negative-pair"):
             load_cases(path)
-        assert oracle_max_neg_kappa(_parse_record(raw), 6, 40) == 16
+        # the oracle reads only these fields, and no CaseRecord can hold them
+        family = SimpleNamespace(
+            lattice="elliptic_ruled_b",
+            base="H",
+            params=(SweepParam(label="b", cls="E1"), SweepParam(label="a", cls="E2", hi=4)),
+            constraints=(SweepConstraint(cls="F1", min_value=0),),
+        )
+        assert oracle_max_neg_kappa(family, 6, 40) == 16
+
+    def test_negative_pair_rejected_when_built_in_code(self):
+        with pytest.raises(CaseDataError, match="ruled-b-negative-pair"):
+            CaseRecord(
+                id="ruled-b-negative-pair",
+                n=4,
+                lattice="elliptic_ruled_b",
+                base="H",
+                params=(SweepParam(label="b", cls="E1"), SweepParam(label="a", cls="E2", hi=4)),
+                constraints=(SweepConstraint(cls="F1", min_value=0),),
+                family_dim=34,
+                mode="dim-count",
+                expected_neg_kappa=(0, 8),
+            )
+
+    def test_shared_label_keeps_parameters_apart(self, tmp_path):
+        # labels only name parameters; the sweep must not collapse two that share one
+        def mutate(doc):
+            rec = next(c for c in doc["cases"] if c["id"] == "quartic-dcover")
+            for sub in rec["gamma"]["subtract"]:
+                sub["param"] = "a"
+
+        record = next(
+            r for r in load_cases(self._patched(tmp_path, mutate)) if r.id == "quartic-dcover"
+        )
+        assert [p.label for p in record.params] == ["a", "a"]
+        assert max_neg_canonical_degree(record, 6) == 11
+
+    @pytest.mark.parametrize(
+        "key,value,match",
+        [
+            ("family_dim", DELETE, "cubic-i: missing key 'family_dim'"),
+            ("family_dim", "34", "cubic-i: bad value '34' for 'family_dim'"),
+            ("family_dim", 1.5, "cubic-i: bad value 1.5 for 'family_dim'"),
+            ("n", True, "cubic-i: bad value True for 'n'"),
+            ("n", None, "cubic-i: bad value None for 'n'"),
+            ("n", [3], "cubic-i: bad value"),
+            ("gamma", [], "cubic-i: bad value"),
+            ("delegated", 0, "cubic-i: bad value 0 for 'delegated'"),
+            ("hilbert_component_dims", [1.5], "cubic-i: hilbert_component_dims"),
+            ("expected_neg_kappa", {"per_d": 3}, "cubic-i: missing key 'const'"),
+            ("id", DELETE, r"cases\[0\]: missing key 'id'"),
+            ("id", 7, r"cases\[0\]: bad value 7 for 'id'"),
+        ],
+    )
+    def test_malformed_record_names_itself(self, tmp_path, key, value, match):
+        def mutate(doc):
+            rec = doc["cases"][0]
+            assert rec["id"] == "cubic-i"
+            if value is DELETE:
+                del rec[key]
+            else:
+                rec[key] = value
+
+        with pytest.raises(CaseDataError, match=match):
+            load_cases(self._patched(tmp_path, mutate))
+
+    def test_malformed_nested_values(self, tmp_path):
+        def mutate_subtract(doc):
+            rec = next(c for c in doc["cases"] if c["id"] == "quartic-dcover")
+            rec["gamma"]["subtract"][1] = "R"
+
+        with pytest.raises(CaseDataError, match="quartic-dcover: expected an object"):
+            load_cases(self._patched(tmp_path, mutate_subtract))
+
+        def mutate_record(doc):
+            doc["cases"][3] = 5
+
+        with pytest.raises(CaseDataError, match=r"cases\[3\]: expected an object"):
+            load_cases(self._patched(tmp_path, mutate_record))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            "[]",
+            '{"schema_version": "genusgaps-cases/1"}',
+            '{"schema_version": "genusgaps-cases/1", "cases": {}}',
+            '{"schema_version": "genusgaps-cases/1", "cases": null}',
+        ],
+    )
+    def test_malformed_table(self, tmp_path, text):
+        path = tmp_path / "cases.json"
+        path.write_text(text)
+        with pytest.raises(CaseDataError):
+            load_cases(path)
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_mutated_table_loads_or_raises_case_data_error(self, tmp_path, data):
+        doc = copy.deepcopy(SHIPPED)
+        raw = data.draw(st.sampled_from(doc["cases"]), label="record")
+        site = data.draw(st.sampled_from(list(mutation_sites(raw))), label="object")
+        key = data.draw(st.sampled_from(sorted(site)), label="key")
+        value = data.draw(st.sampled_from([DELETE, None, "x", 1.5, True, [], {}, -1]))
+        if value is DELETE:
+            del site[key]
+        else:
+            site[key] = value
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(doc))
+        try:
+            records = load_cases(path)
+        except CaseDataError:
+            return
+        assert len(records) == 24
 
 
 def oracle_max_neg_kappa(record: CaseRecord, d: int, box: int) -> int:
@@ -276,26 +403,24 @@ class TestMaxNegKappa:
 
     def test_unbounded_parameter_aborts(self):
         record = by_id("quartic-elliptic-ruled-a")
-        unbounded = CaseRecord(
-            id="unbounded",
-            n=4,
-            lattice=record.lattice,
-            base=record.base,
-            params=(SweepParam(label="a", cls="X1"),),
-            constraints=(),
-            family_dim=34,
-            mode="dim-count",
-        )
         with pytest.raises(CaseDataError):
-            max_neg_canonical_degree(unbounded, 6)
+            CaseRecord(
+                id="unbounded",
+                n=4,
+                lattice=record.lattice,
+                base=record.base,
+                params=(SweepParam(label="a", cls="X1"),),
+                constraints=(),
+                family_dim=34,
+                mode="dim-count",
+            )
 
     def test_kappa_recomputed_from_gram(self):
         # the sweep value must equal the lattice kappa on an instantiated class
         for record in default_cases():
             d = 6
             lat = builtin_lattice(record.lattice)
-            labels = [p.label for p in record.params]
-            zero = gamma_class(record, lat, d, {k: p.lo for k, p in zip(labels, record.params)})
+            zero = gamma_class(record, lat, d, tuple(p.lo for p in record.params))
             assert canonical_degree(lat, zero) == intersect(lat, lat.canonical, zero)
 
 
