@@ -9,7 +9,9 @@ against every classified surface family by an exact dimension count:
 
 * ``dim-count`` mode: family_dim + max{g, g-1-kappa} < cut_system_dim(n, d),
   where kappa is minimized (``-kappa`` maximized) over the family's curve
-  classes by exact enumeration;
+  classes by exact enumeration of integer parameter points, with -kappa and
+  every constraint evaluated as linear forms whose coefficients come from
+  the Gram matrix;
 * ``direct-dim`` mode: family_dim < threshold, for the one family whose
   kappa is too negative for the generic count.
 
@@ -50,6 +52,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from importlib import resources
+from operator import mul
 from pathlib import Path
 from typing import NoReturn
 
@@ -57,11 +60,9 @@ from .formulas import arithmetic_genus, clemens_min_genus, cut_system_dim
 from .gapmap import candidate_gap_interval
 from .picard import (
     BUILTINS,
-    DivisorClass,
     PicardLattice,
     adjunction_genus,
     builtin_lattice,
-    canonical_degree,
     family_dim_bound,
     intersect,
 )
@@ -111,6 +112,30 @@ class CaseRecord:
         def fail(why: str) -> NoReturn:
             raise CaseDataError(f"{self.id}: {why}")
 
+        def need_int(value: object, what: str, optional: bool = False) -> None:
+            # exact type, so that an int field takes no bool
+            if type(value) is not int and not (optional and value is None):
+                fail(f"bad value {value!r} for {what}")
+
+        # types first, so that no check below compares a float, a bool or None
+        need_int(self.n, "n")
+        need_int(self.family_dim, "family_dim")
+        need_int(self.threshold, "threshold", optional=True)
+        for what, values in (("hilbert_component_dims", self.hilbert_component_dims),
+                             ("expected_neg_kappa", self.expected_neg_kappa)):
+            if type(values) is not tuple:
+                fail(f"bad value {values!r} for {what}")
+            for value in values:
+                need_int(value, what)
+        if len(self.expected_neg_kappa) != 2:
+            fail("expected_neg_kappa must be (per_d, const)")
+        for p in self.params:
+            need_int(p.lo, f"lo of parameter {p.label}")
+            need_int(p.hi, f"hi of parameter {p.label}", optional=True)
+        for c in self.constraints:
+            need_int(c.min_value, f"min of constraint {c.cls}")
+        if type(self.delegated) is not bool:
+            fail(f"bad value {self.delegated!r} for delegated")
         if self.family_dim < 0:
             fail("family_dim must be >= 0")
         if self.n not in (3, 4):
@@ -120,25 +145,20 @@ class CaseRecord:
         if (self.mode == "direct-dim") != (self.threshold is not None):
             fail("threshold must accompany direct-dim mode")
         try:
-            lat = builtin_lattice(self.lattice)
-            for label in (self.base, *(p.cls for p in self.params),
-                          *(c.cls for c in self.constraints)):
-                lat.cls(label)
+            _, k_subs, _, sub_pencils = _linear_forms(self, builtin_lattice(self.lattice))
         except KeyError as exc:
             raise CaseDataError(f"{self.id}: {exc}") from exc
         for c in self.constraints:
             if c.min_value < 0:
                 fail(f"negative constraint bound on {c.cls}")
-        for p in self.params:
+        for p, k_sub, coefs in zip(self.params, k_subs, sub_pencils):
             if p.lo < 0 or (p.hi is not None and p.hi < p.lo):
                 fail(f"bad domain for parameter {p.label}")
-            sub = lat.cls(p.cls)
-            coefs = [intersect(lat, sub, lat.cls(c.cls)) for c in self.constraints]
             for c, coef in zip(self.constraints, coefs):
                 if coef < 0:
                     fail(f"{p.cls} meets pencil {c.cls} negatively")
             # every coef is >= 0 here, so no pencil caps p iff all are 0
-            if p.hi is None and not any(coefs) and intersect(lat, lat.canonical, sub) > 0:
+            if p.hi is None and not any(coefs) and k_sub > 0:
                 fail(f"parameter {p.label} unbounded with negative kappa")
         if self.hilbert_component_dims:
             # family_dim derives from the largest Hilbert component minus the
@@ -208,9 +228,7 @@ def load_cases(path: str | Path | None = None) -> tuple[CaseRecord, ...]:
     if not isinstance(doc.get("cases"), list):
         raise CaseDataError("case table has no 'cases' list")
     records = tuple(_parse_record(raw, pos) for pos, raw in enumerate(doc["cases"]))
-    ids = [r.id for r in records]
-    if len(set(ids)) != len(ids):
-        raise CaseDataError("duplicate case ids")
+    _by_id(records)
     return records
 
 
@@ -271,6 +289,15 @@ def _parse_record(raw: object, pos: int) -> CaseRecord:
     )
 
 
+def _by_id(records: tuple[CaseRecord, ...]) -> list[CaseRecord]:
+    """The records sorted by id; a repeated id raises ``CaseDataError``."""
+    out = sorted(records, key=lambda r: r.id)
+    for a, b in zip(out, out[1:]):
+        if a.id == b.id:
+            raise CaseDataError(f"duplicate case id {a.id!r}")
+    return out
+
+
 def default_cases() -> tuple[CaseRecord, ...]:
     return load_cases(None)
 
@@ -278,16 +305,6 @@ def default_cases() -> tuple[CaseRecord, ...]:
 def expected_neg_kappa(record: CaseRecord, d: int) -> int:
     per_d, const = record.expected_neg_kappa
     return per_d * d + const
-
-
-def gamma_class(
-    record: CaseRecord, lat: PicardLattice, d: int, values: tuple[int, ...]
-) -> DivisorClass:
-    """Instantiated curve class d*base - sum(values[i] * record.params[i].cls)."""
-    cls = d * lat.cls(record.base)
-    for p, value in zip(record.params, values, strict=True):
-        cls = cls - value * lat.cls(p.cls)
-    return cls
 
 
 def allowed_cutting_degrees(d: int, g: int) -> set[int]:
@@ -329,54 +346,62 @@ def _is_restricted(d: int, n: int, g: int) -> bool:
     return window is not None and g in window and n in allowed_cutting_degrees(d, g)
 
 
-def _sweep_space(record: CaseRecord, lat: PicardLattice, d: int) -> list[range]:
-    """Finite enumeration ranges for the parameters.
+def _linear_forms(
+    record: CaseRecord, lat: PicardLattice
+) -> tuple[int, list[int], list[int], list[list[int]]]:
+    """K . base, K . sub_i, base . P_j, and sub_i . P_j as one row per parameter.
 
-    Parameters are >= 0 and each parameter class meets each constraint pencil
-    non-negatively (the ``CaseRecord`` constructor checks it), so
-    gamma . pencil never rises as a parameter grows.  An admissible class
-    thus has v * coef <= d*(base . pencil) - min for each pencil with
-    coef = sub . pencil > 0, whatever the other parameters are.  A parameter
-    no pencil caps and no ``hi`` bounds never affects admissibility, and the
-    constructor has checked K . sub <= 0, so raising it cannot raise -kappa:
-    it is pinned at ``lo``.
+    Read from the Gram matrix on every call and kept nowhere; an unknown
+    class label raises ``KeyError``.
     """
     base = lat.cls(record.base)
-    ranges: list[range] = []
-    for p in record.params:
-        sub = lat.cls(p.cls)
-        hi = p.hi
-        for c in record.constraints:
-            pencil = lat.cls(c.cls)
-            coef = intersect(lat, sub, pencil)
-            if coef > 0:
-                cap = (d * intersect(lat, base, pencil) - c.min_value) // coef
-                hi = cap if hi is None else min(hi, cap)
-        ranges.append(range(p.lo, (p.lo if hi is None else hi) + 1))
-    return ranges
+    subs = [lat.cls(p.cls) for p in record.params]
+    pencils = [lat.cls(c.cls) for c in record.constraints]
+    return (
+        intersect(lat, lat.canonical, base),
+        [intersect(lat, lat.canonical, sub) for sub in subs],
+        [intersect(lat, base, pencil) for pencil in pencils],
+        [[intersect(lat, sub, pencil) for pencil in pencils] for sub in subs],
+    )
 
 
 def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
     """Exact maximum of -kappa over the family's admissible curve classes.
 
-    Enumerates the (small) feasible box of integer parameters and evaluates
-    kappa through the Gram matrix each time; no cached or hand-copied value
-    enters the verification path.  The box is sound for any record: the
-    ``CaseRecord`` constructor checks what ``_sweep_space`` relies on.
+    For gamma = d*base - sum(v_i * sub_i), both -kappa = -K . gamma and each
+    gamma . P_j are linear in the parameters v.  Their coefficients are read
+    from the Gram matrix once per call (``_linear_forms``), and none is kept
+    between calls; the sweep enumerates a box of integer points and takes
+    the maximum over the admissible ones.
+
+    The box holds every admissible point.  Parameters are >= 0 and each
+    parameter class meets each constraint pencil non-negatively (the
+    ``CaseRecord`` constructor checks it), so gamma . pencil never rises as
+    a parameter grows.  An admissible class thus has v * coef <=
+    d*(base . pencil) - min for each pencil with coef = sub . pencil > 0,
+    whatever the other parameters are.  A parameter no pencil caps and no
+    ``hi`` bounds never affects admissibility, and the constructor has
+    checked K . sub <= 0, so raising it cannot raise -kappa: it is pinned
+    at ``lo``.
     """
-    lat = builtin_lattice(record.lattice)
-    pencils = [(lat.cls(c.cls), c.min_value) for c in record.constraints]
-    best: int | None = None
-    for point in itertools.product(*_sweep_space(record, lat, d)):
-        gamma = gamma_class(record, lat, d, point)
-        if any(intersect(lat, gamma, pencil) < min_value for pencil, min_value in pencils):
-            continue
-        neg_kappa = -canonical_degree(lat, gamma)
-        if best is None or neg_kappa > best:
-            best = neg_kappa
+    k_base, k_subs, base_pencils, sub_pencils = _linear_forms(
+        record, builtin_lattice(record.lattice)
+    )
+    # gamma . P_j >= min_j  iff  sum_i v_i * (sub_i . P_j) <= room_j
+    room = [d * bp - c.min_value for bp, c in zip(base_pencils, record.constraints)]
+    columns = [[row[j] for row in sub_pencils] for j in range(len(room))]
+    ranges = []
+    for p, coefs in zip(record.params, sub_pencils):
+        caps = [r // coef for r, coef in zip(room, coefs) if coef > 0]
+        if p.hi is not None:
+            caps.append(p.hi)
+        ranges.append(range(p.lo, min(caps, default=p.lo) + 1))
+    best = max((sum(map(mul, point, k_subs)) for point in itertools.product(*ranges)
+                if all(sum(map(mul, point, col)) <= r for col, r in zip(columns, room))),
+               default=None)
     if best is None:
         raise CaseDataError(f"{record.id}: no admissible curve class at d={d}")
-    return best
+    return best - d * k_base
 
 
 def check_elimination(
@@ -424,7 +449,7 @@ def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> Verificat
     records = default_cases() if cases is None else cases
     triples = restricted_triples()
     checks = []
-    for record in sorted(records, key=lambda r: r.id):
+    for record in _by_id(records):
         # triples are sorted by d, so each degree's genera come in one run
         ours = (t for t in triples if t[1] == record.n)
         for d, run in itertools.groupby(ours, key=lambda t: t[0]):
@@ -441,7 +466,7 @@ def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> Verificat
 
 def _kappa_checks(records: tuple[CaseRecord, ...]) -> list[CheckResult]:
     checks = []
-    for record in sorted(records, key=lambda r: r.id):
+    for record in _by_id(records):
         degrees = range(5, 21) if record.n == 3 else (6,)
         for d in degrees:
             got = max_neg_canonical_degree(record, d)

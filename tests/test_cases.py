@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import itertools
 import json
 from importlib import resources
 from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from genusgaps.cases import (
@@ -17,11 +19,11 @@ from genusgaps.cases import (
     CaseRecord,
     SweepConstraint,
     SweepParam,
+    _linear_forms,
     allowed_cutting_degrees,
     check_elimination,
     default_cases,
     expected_neg_kappa,
-    gamma_class,
     load_cases,
     max_neg_canonical_degree,
     restricted_triples,
@@ -30,7 +32,14 @@ from genusgaps.cases import (
     verify_kappa,
 )
 from genusgaps.formulas import cut_system_dim
-from genusgaps.picard import builtin_lattice, canonical_degree, family_dim_bound, intersect
+from genusgaps.picard import (
+    DivisorClass,
+    PicardLattice,
+    builtin_lattice,
+    canonical_degree,
+    family_dim_bound,
+    intersect,
+)
 
 THIRTEEN = (
     (6, 3, 11), (6, 3, 12), (6, 3, 13), (6, 3, 14), (6, 3, 15),
@@ -229,6 +238,37 @@ class TestCaseTable:
                 expected_neg_kappa=(0, 8),
             )
 
+    @pytest.mark.parametrize(
+        "case_id,field,value",
+        [
+            ("quartic-K3", "family_dim", 1.5),
+            ("quartic-K3", "family_dim", True),
+            ("quartic-K3", "n", 4.0),
+            ("quartic-rational-c", "threshold", 23.0),
+            ("quartic-rational-c", "threshold", True),
+            ("quartic-rational-c", "hilbert_component_dims", (27, 29.0)),
+            ("quartic-rational-c", "hilbert_component_dims", [27, 29]),
+            ("quartic-K3", "expected_neg_kappa", (0, 0.0)),
+            ("quartic-K3", "expected_neg_kappa", (False, 0)),
+            ("quartic-K3", "expected_neg_kappa", (0, 0, 0)),
+            ("quartic-cone", "lo", False),
+            ("quartic-cone", "hi", 1.0),
+            ("quartic-dp2", "min_value", 0.0),
+            ("quartic-K3", "delegated", 0),
+            ("quartic-K3", "delegated", "no"),
+        ],
+    )
+    def test_built_record_takes_exact_types(self, case_id, field, value):
+        record = by_id(case_id)
+        if field in ("lo", "hi"):
+            changes = {"params": (dataclasses.replace(record.params[0], **{field: value}),)}
+        elif field == "min_value":
+            changes = {"constraints": (SweepConstraint(cls="P", min_value=value),)}
+        else:
+            changes = {field: value}
+        with pytest.raises(CaseDataError, match=f"^{case_id}: "):
+            dataclasses.replace(record, **changes)
+
     def test_shared_label_keeps_parameters_apart(self, tmp_path):
         # labels only name parameters; the sweep must not collapse two that share one
         def mutate(doc):
@@ -354,6 +394,71 @@ def oracle_max_neg_kappa(record: CaseRecord, d: int, box: int) -> int:
     return best
 
 
+# The sweep as it stood before the linear-form rewrite, kept verbatim (bar the
+# name of the entry point) as the differential oracle: it builds one
+# DivisorClass per box point and intersects it through the Gram matrix.
+
+
+def gamma_class(
+    record: CaseRecord, lat: PicardLattice, d: int, values: tuple[int, ...]
+) -> DivisorClass:
+    """Instantiated curve class d*base - sum(values[i] * record.params[i].cls)."""
+    cls = d * lat.cls(record.base)
+    for p, value in zip(record.params, values, strict=True):
+        cls = cls - value * lat.cls(p.cls)
+    return cls
+
+
+def _sweep_space(record: CaseRecord, lat: PicardLattice, d: int) -> list[range]:
+    """Finite enumeration ranges for the parameters.
+
+    Parameters are >= 0 and each parameter class meets each constraint pencil
+    non-negatively (the ``CaseRecord`` constructor checks it), so
+    gamma . pencil never rises as a parameter grows.  An admissible class
+    thus has v * coef <= d*(base . pencil) - min for each pencil with
+    coef = sub . pencil > 0, whatever the other parameters are.  A parameter
+    no pencil caps and no ``hi`` bounds never affects admissibility, and the
+    constructor has checked K . sub <= 0, so raising it cannot raise -kappa:
+    it is pinned at ``lo``.
+    """
+    base = lat.cls(record.base)
+    ranges: list[range] = []
+    for p in record.params:
+        sub = lat.cls(p.cls)
+        hi = p.hi
+        for c in record.constraints:
+            pencil = lat.cls(c.cls)
+            coef = intersect(lat, sub, pencil)
+            if coef > 0:
+                cap = (d * intersect(lat, base, pencil) - c.min_value) // coef
+                hi = cap if hi is None else min(hi, cap)
+        ranges.append(range(p.lo, (p.lo if hi is None else hi) + 1))
+    return ranges
+
+
+def class_sweep_max_neg_kappa(record: CaseRecord, d: int) -> int:
+    """Exact maximum of -kappa over the family's admissible curve classes.
+
+    Enumerates the (small) feasible box of integer parameters and evaluates
+    kappa through the Gram matrix each time; no cached or hand-copied value
+    enters the verification path.  The box is sound for any record: the
+    ``CaseRecord`` constructor checks what ``_sweep_space`` relies on.
+    """
+    lat = builtin_lattice(record.lattice)
+    pencils = [(lat.cls(c.cls), c.min_value) for c in record.constraints]
+    best: int | None = None
+    for point in itertools.product(*_sweep_space(record, lat, d)):
+        gamma = gamma_class(record, lat, d, point)
+        if any(intersect(lat, gamma, pencil) < min_value for pencil, min_value in pencils):
+            continue
+        neg_kappa = -canonical_degree(lat, gamma)
+        if best is None or neg_kappa > best:
+            best = neg_kappa
+    if best is None:
+        raise CaseDataError(f"{record.id}: no admissible curve class at d={d}")
+    return best
+
+
 class TestMaxNegKappa:
     @pytest.mark.parametrize("case_id,coeffs", sorted(NEG_KAPPA_TABLE.items()))
     def test_documented_bounds(self, case_id, coeffs):
@@ -415,13 +520,63 @@ class TestMaxNegKappa:
                 mode="dim-count",
             )
 
-    def test_kappa_recomputed_from_gram(self):
-        # the sweep value must equal the lattice kappa on an instantiated class
-        for record in default_cases():
-            d = 6
-            lat = builtin_lattice(record.lattice)
-            zero = gamma_class(record, lat, d, tuple(p.lo for p in record.params))
-            assert canonical_degree(lat, zero) == intersect(lat, lat.canonical, zero)
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_linear_forms_match_class_arithmetic(self, data):
+        # -kappa and each gamma . pencil, read off the linear forms, must equal
+        # the lattice numbers of the instantiated class at any point of the box
+        record = data.draw(st.sampled_from(default_cases()), label="record")
+        d = data.draw(st.integers(5, 40), label="d")
+        lat = builtin_lattice(record.lattice)
+        point = tuple(
+            data.draw(st.integers(r.start, r.stop - 1), label=p.label)
+            for p, r in zip(record.params, _sweep_space(record, lat, d))
+        )
+        k_base, k_subs, base_pencils, sub_pencils = _linear_forms(record, lat)
+        gamma = gamma_class(record, lat, d, point)
+        neg_kappa = sum(v * k for v, k in zip(point, k_subs)) - d * k_base
+        assert neg_kappa == -canonical_degree(lat, gamma)
+        for j, c in enumerate(record.constraints):
+            meet = d * base_pencils[j] - sum(v * row[j] for v, row in zip(point, sub_pencils))
+            assert meet == intersect(lat, gamma, lat.cls(c.cls))
+
+
+def outcome(sweep, record: CaseRecord, d: int):
+    """The value of one sweep, or the message of the ``CaseDataError`` it raises."""
+    try:
+        return sweep(record, d)
+    except CaseDataError as exc:
+        return f"CaseDataError: {exc}"
+
+
+class TestSweepAgainstClassSweep:
+    @pytest.mark.parametrize("case_id", sorted(r.id for r in default_cases()))
+    def test_audit_and_restricted_degrees(self, case_id):
+        # the audit's degrees (5..20 for cubic families, 6 for quartic ones)
+        # and every restricted degree: 144 + 72 pairs over the whole table
+        record = by_id(case_id)
+        audit = range(5, 21) if record.n == 3 else (6,)
+        for d in sorted({*audit, 6, 7, 8}):
+            assert max_neg_canonical_degree(record, d) == class_sweep_max_neg_kappa(record, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_redrawn_bounds(self, data):
+        record = data.draw(st.sampled_from(default_cases()), label="record")
+        params = tuple(
+            dataclasses.replace(
+                p, hi=data.draw(st.none() | st.integers(p.lo, p.lo + 12), label=p.label)
+            )
+            for p in record.params
+        )
+        try:
+            record = dataclasses.replace(record, params=params)
+        except CaseDataError:
+            assume(False)
+        d = data.draw(st.integers(2, 30), label="d")
+        assert outcome(max_neg_canonical_degree, record, d) == outcome(
+            class_sweep_max_neg_kappa, record, d
+        )
 
 
 class TestCheckElimination:
@@ -544,7 +699,7 @@ class TestVerify:
     def test_verify_all_work_counts(self, monkeypatch):
         import genusgaps.cases as case_mod
 
-        counts = {"max_neg_canonical_degree": 0, "check_elimination": 0, "gamma_class": 0}
+        counts = {"max_neg_canonical_degree": 0, "check_elimination": 0, "intersect": 0}
 
         def counted(name):
             real = getattr(case_mod, name)
@@ -562,11 +717,28 @@ class TestVerify:
         # 8 cubic families x 16 degrees + 16 quartic families x 1
         assert counts["max_neg_canonical_degree"] == 40 + 8 * 16 + 16
         assert counts["check_elimination"] == 40
-        counts["gamma_class"] = 0
+        # the Gram readings: 70 as the 24 records are constructed, 327 in the
+        # linear forms of the 184 sweeps, 21 for the lattices' K.K
+        assert counts["intersect"] == 70 + 327 + 21
+        points = 0
+
+        def product(*ranges):
+            nonlocal points
+            for point in itertools.product(*ranges):
+                points += 1
+                yield point
+
+        monkeypatch.setattr(case_mod, "itertools", SimpleNamespace(product=product))
         for record in default_cases():
             for d in range(5, 21) if record.n == 3 else (6,):
                 max_neg_canonical_degree(record, d)
-        assert counts["gamma_class"] == 767  # one per box point at the audit degrees
+        assert points == 767  # box points at the audit degrees
+
+    @pytest.mark.parametrize("verify", [verify_elimination, verify_kappa, verify_all])
+    def test_verify_rejects_duplicate_ids(self, verify):
+        record = by_id("quartic-K3")
+        with pytest.raises(CaseDataError, match="duplicate case id 'quartic-K3'"):
+            verify((record, record))
 
     def test_order_is_deterministic(self):
         a = [c.check_id for c in verify_elimination().checks]
