@@ -112,30 +112,38 @@ class CaseRecord:
         def fail(why: str) -> NoReturn:
             raise CaseDataError(f"{self.id}: {why}")
 
-        def need_int(value: object, what: str, optional: bool = False) -> None:
+        def need(value: object, kind: type, what: str, optional: bool = False) -> None:
             # exact type, so that an int field takes no bool
-            if type(value) is not int and not (optional and value is None):
+            if type(value) is not kind and not (optional and value is None):
                 fail(f"bad value {value!r} for {what}")
 
-        # types first, so that no check below compares a float, a bool or None
-        need_int(self.n, "n")
-        need_int(self.family_dim, "family_dim")
-        need_int(self.threshold, "threshold", optional=True)
+        # types first, so that no check below compares a float, a bool or None,
+        # and no caller sorts a non-str id or hashes a list
+        for what in ("id", "lattice", "base", "mode", "description"):
+            need(getattr(self, what), str, what)
+        for what, kind in (("params", SweepParam), ("constraints", SweepConstraint)):
+            need(getattr(self, what), tuple, what)
+            for entry in getattr(self, what):
+                need(entry, kind, f"entry of {what}")
+        need(self.n, int, "n")
+        need(self.family_dim, int, "family_dim")
+        need(self.threshold, int, "threshold", optional=True)
         for what, values in (("hilbert_component_dims", self.hilbert_component_dims),
                              ("expected_neg_kappa", self.expected_neg_kappa)):
-            if type(values) is not tuple:
-                fail(f"bad value {values!r} for {what}")
+            need(values, tuple, what)
             for value in values:
-                need_int(value, what)
+                need(value, int, what)
         if len(self.expected_neg_kappa) != 2:
             fail("expected_neg_kappa must be (per_d, const)")
         for p in self.params:
-            need_int(p.lo, f"lo of parameter {p.label}")
-            need_int(p.hi, f"hi of parameter {p.label}", optional=True)
+            need(p.label, str, "label of a parameter")
+            need(p.cls, str, f"class of parameter {p.label}")
+            need(p.lo, int, f"lo of parameter {p.label}")
+            need(p.hi, int, f"hi of parameter {p.label}", optional=True)
         for c in self.constraints:
-            need_int(c.min_value, f"min of constraint {c.cls}")
-        if type(self.delegated) is not bool:
-            fail(f"bad value {self.delegated!r} for delegated")
+            need(c.cls, str, "class of a constraint")
+            need(c.min_value, int, f"min of constraint {c.cls}")
+        need(self.delegated, bool, "delegated")
         if self.family_dim < 0:
             fail("family_dim must be >= 0")
         if self.n not in (3, 4):

@@ -9,11 +9,14 @@ command keeps its own exit code and prints no traceback.
 
 Each command returns one :class:`Record` holding its answer in every
 shape; ``main`` picks the requested format and writes stdout once.
+The module holds one argparse parser, built on the first call and never
+mutated by parsing, so concurrent calls to ``main`` stay safe.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -85,6 +88,8 @@ def _render(args: argparse.Namespace, record: Record) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+# built on first use, not at import, so importing the module stays cheap
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genusgaps",

@@ -256,6 +256,18 @@ class TestCaseTable:
             ("quartic-dp2", "min_value", 0.0),
             ("quartic-K3", "delegated", 0),
             ("quartic-K3", "delegated", "no"),
+            ("quartic-K3", "id", 7),
+            ("quartic-K3", "lattice", ["k3_quartic"]),
+            ("quartic-K3", "base", None),
+            ("quartic-K3", "mode", None),
+            ("quartic-K3", "description", None),
+            ("quartic-K3", "params", []),
+            ("quartic-K3", "constraints", []),
+            ("quartic-cone", "params", ({"label": "m", "cls": "E0"},)),
+            ("quartic-dp2", "constraints", (("P", 0),)),
+            ("quartic-cone", "params", (SweepParam(label=7, cls="E0", hi=1),)),
+            ("quartic-cone", "params", (SweepParam(label="m", cls=None, hi=1),)),
+            ("quartic-dp2", "constraints", (SweepConstraint(cls=None, min_value=0),)),
         ],
     )
     def test_built_record_takes_exact_types(self, case_id, field, value):
@@ -266,7 +278,8 @@ class TestCaseTable:
             changes = {"constraints": (SweepConstraint(cls="P", min_value=value),)}
         else:
             changes = {field: value}
-        with pytest.raises(CaseDataError, match=f"^{case_id}: "):
+        name = value if field == "id" else case_id
+        with pytest.raises(CaseDataError, match=f"^{name}: "):
             dataclasses.replace(record, **changes)
 
     def test_shared_label_keeps_parameters_apart(self, tmp_path):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_cli_golden import GOLDEN
 
 from genusgaps import cases as case_mod
 from genusgaps import cli
@@ -270,3 +273,45 @@ class TestClosedStdout:
         assert proc.returncode == want
         assert "Traceback" not in proc.stderr
         assert proc.stderr == ""
+
+
+class TestParserReuse:
+    """One parser serves every call in a process, whatever ran before."""
+
+    ARGV = [argv.split() for argv in sorted(GOLDEN)] + [
+        ["--help"],
+        ["status", "--help"],
+        ["status", "x", "3"],
+        ["status", "7"],
+        ["frobnicate"],
+        ["status", "5", "1", "--format", "yaml"],
+        ["status", "7", "30", "--bogus"],
+    ]
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys):
+        fresh = {}
+        for argv in self.ARGV:
+            cli._build_parser.cache_clear()
+            fresh[tuple(argv)] = run(capsys, *argv)
+        interleaved = self.ARGV * 3
+        random.Random(0).shuffle(interleaved)
+        for order in (self.ARGV, self.ARGV[::-1], interleaved):
+            for argv in order:
+                assert run(capsys, *argv) == fresh[tuple(argv)], argv
+
+    def test_no_parser_built_after_the_first_call(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.main(["status", "6", "13"])
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for i in range(50):
+            cli.main([["status", "6", str(i)], ["bounds", "7"], ["frobnicate"]][i % 3])
+        assert built == []
+        cli._build_parser.cache_clear()
+        cli.main(["status", "6", "13"])
+        assert len(built) == 7  # the counter sees a fresh build: the root and six subparsers
