@@ -7,8 +7,9 @@ full decimal, and exit codes are 0 (success), 1 (verification failure),
 2 (usage error) and nothing else.  A closed stdout is not an error: the
 command keeps its own exit code and prints no traceback.
 
-Each command returns one :class:`Record` holding its answer in every
-shape; ``main`` picks the requested format and writes stdout once.
+Each command returns one :class:`Record` and never sees ``--format``:
+the record says how to build its answer in each shape, and ``main``
+builds and renders only the requested one, then writes stdout once.
 The module holds one argparse parser, built on the first call and never
 mutated by parsing, so concurrent calls to ``main`` stay safe.
 """
@@ -21,6 +22,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from . import cases as case_mod
 from .gapmap import (
@@ -39,12 +41,16 @@ DECOMPOSITION_HEADER = ["d", "kind", "lo", "hi", "source"]
 
 @dataclass(frozen=True)
 class Record:
-    """One command's answer: JSON fields, CSV header and rows, table lines, exit code."""
+    """One command's answer: JSON fields, CSV header and rows, table lines, exit code.
 
-    fields: dict
+    ``fields``, ``rows`` and ``lines`` take no arguments and build their
+    shape when called; ``_render`` calls only the one its format needs.
+    """
+
+    fields: Callable[[], dict]
     header: list[str]
-    rows: list[list[object]]
-    lines: list[str]
+    rows: Callable[[], list[list[object]]]
+    lines: Callable[[], list[str]]
     code: int = 0
 
 
@@ -77,14 +83,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def _render(args: argparse.Namespace, record: Record) -> str:
     if args.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **record.fields}
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **record.fields()}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.format == "csv":
         lines = [",".join(record.header)] + [
-            ",".join("" if v is None else str(v) for v in row) for row in record.rows
+            ",".join(["" if v is None else str(v) for v in row]) for row in record.rows()
         ]
     else:
-        lines = record.lines
+        lines = record.lines()
     return "".join(line + "\n" for line in lines)
 
 
@@ -149,17 +155,21 @@ def _certificate_cells(cert: Certificate | None) -> list[object]:
 def _cmd_status(args: argparse.Namespace) -> Record:
     st = status(args.d, args.g)
     cert = st.certificate
-    line = f"degree {args.d} genus {args.g}: {st.verdict}"
-    if st.source:
-        line += f" [{st.source}]"
-    if cert:
-        line += f" via a degree-{cert.n} cut with {cert.delta} nodes"
+
+    def lines() -> list[str]:
+        line = f"degree {args.d} genus {args.g}: {st.verdict}"
+        if st.source:
+            line += f" [{st.source}]"
+        if cert:
+            line += f" via a degree-{cert.n} cut with {cert.delta} nodes"
+        return [line]
+
     return Record(
-        fields={"d": args.d, "g": args.g, "verdict": st.verdict, "source": st.source,
-                "certificate": _certificate_json(cert)},
+        fields=lambda: {"d": args.d, "g": args.g, "verdict": st.verdict, "source": st.source,
+                        "certificate": _certificate_json(cert)},
         header=["d", "g", "verdict", "source", "n", "delta"],
-        rows=[[args.d, args.g, st.verdict, st.source or "", *_certificate_cells(cert)]],
-        lines=[line],
+        rows=lambda: [[args.d, args.g, st.verdict, st.source or "", *_certificate_cells(cert)]],
+        lines=lines,
     )
 
 
@@ -170,50 +180,67 @@ def _cmd_certify(args: argparse.Namespace) -> Record:
             " (lower degrees carry curves of every genus)"
         )
     cert = certify_nongap(args.d, args.g)
-    line = f"degree {args.d} genus {args.g}: "
-    if cert is None:
-        line += "no certificate"
-    else:
-        line += f"certified by a degree-{cert.n} cut with {cert.delta} nodes"
+
+    def lines() -> list[str]:
+        line = f"degree {args.d} genus {args.g}: "
+        if cert is None:
+            line += "no certificate"
+        else:
+            line += f"certified by a degree-{cert.n} cut with {cert.delta} nodes"
+        return [line]
+
     return Record(
-        fields={"d": args.d, "g": args.g, "certificate": _certificate_json(cert)},
+        fields=lambda: {"d": args.d, "g": args.g, "certificate": _certificate_json(cert)},
         header=["d", "g", "n", "delta"],
-        rows=[[args.d, args.g, *_certificate_cells(cert)]],
-        lines=[line],
+        rows=lambda: [[args.d, args.g, *_certificate_cells(cert)]],
+        lines=lines,
     )
 
 
 def _decomposition(dec: GapDecomposition) -> Record:
-    fields = {
-        "d": dec.d,
-        "horizon": dec.horizon,
-        "proved": dec.proved_gaps.to_pairs(),
-        "unknown": dec.unknown_candidates.to_pairs(),
-        "certified": dec.nongap_certified.to_pairs(),
-        "sources": [
-            {"lo": part.lo, "hi": part.hi, "source": src}
-            for part, src in dec.proved_sources
-        ],
-    }
-    if dec.horizon < 0:
-        return Record(
-            fields, DECOMPOSITION_HEADER, [[dec.d, "nogaps", None, None, ""]],
-            [f"degree {dec.d}: no gaps, every genus is a certified non-gap"],
-        )
-    tag = {(p.lo, p.hi): src for p, src in dec.proved_sources}
-    rows: list[list[object]] = []
-    lines = [f"degree {dec.d}: gaps confined to [0,{dec.horizon}]"]
-    for kind, label, parts in (
+    kinds = (
         ("proved", "proved gap", dec.proved_gaps),
         ("unknown", "unknown", dec.unknown_candidates),
         ("certified", "certified non-gap", dec.nongap_certified),
-    ):
-        for part in parts:
-            src = tag.get((part.lo, part.hi), "") if kind == "proved" else ""
-            rows.append([dec.d, kind, part.lo, part.hi, src])
-            lines.append(f"  {label:<19}{part}" + (f"  [{src}]" if kind == "proved" else ""))
-    rows.sort(key=lambda r: r[2])
-    lines.append(f"every genus above {dec.horizon} is a certified non-gap")
+    )
+
+    def fields() -> dict:
+        return {
+            "d": dec.d,
+            "horizon": dec.horizon,
+            **{kind: parts.to_pairs() for kind, _, parts in kinds},
+            "sources": [
+                {"lo": part.lo, "hi": part.hi, "source": src}
+                for part, src in dec.proved_sources
+            ],
+        }
+
+    if dec.horizon < 0:
+        return Record(
+            fields, DECOMPOSITION_HEADER, lambda: [[dec.d, "nogaps", None, None, ""]],
+            lambda: [f"degree {dec.d}: no gaps, every genus is a certified non-gap"],
+        )
+
+    tag = dict(dec.proved_sources)
+
+    def rows() -> list[list[object]]:
+        out = [
+            [dec.d, kind, part.lo, part.hi, tag.get(part, "") if kind == "proved" else ""]
+            for kind, _, parts in kinds
+            for part in parts
+        ]
+        out.sort(key=lambda r: r[2])
+        return out
+
+    def lines() -> list[str]:
+        out = [f"degree {dec.d}: gaps confined to [0,{dec.horizon}]"]
+        for kind, label, parts in kinds:
+            for part in parts:
+                src = f"  [{tag.get(part, '')}]" if kind == "proved" else ""
+                out.append(f"  {label:<19}{part}{src}")
+        out.append(f"every genus above {dec.horizon} is a certified non-gap")
+        return out
+
     return Record(fields, DECOMPOSITION_HEADER, rows, lines)
 
 
@@ -235,10 +262,10 @@ def _cmd_bounds(args: argparse.Namespace) -> Record:
     coarse = coarse_horizon(args.d)
     refined = refined_horizon(args.d) if args.d >= 5 else -1
     return Record(
-        fields={"d": args.d, "coarse": coarse, "refined": refined},
+        fields=lambda: {"d": args.d, "coarse": coarse, "refined": refined},
         header=["d", "coarse", "refined"],
-        rows=[[args.d, coarse, refined]],
-        lines=[f"degree {args.d}: coarse horizon {coarse}, refined horizon {refined}"],
+        rows=lambda: [[args.d, coarse, refined]],
+        lines=lambda: [f"degree {args.d}: coarse horizon {coarse}, refined horizon {refined}"],
     )
 
 
@@ -250,10 +277,10 @@ def _cmd_table(args: argparse.Namespace) -> Record:
     # degrees ascend and each block is sorted by lo, so the rows stay sorted by (d, lo)
     blocks = [_decomposition(decompose(d)) for d in range(args.d_min, args.d_max + 1)]
     return Record(
-        fields={"rows": [b.fields for b in blocks]},
+        fields=lambda: {"rows": [b.fields() for b in blocks]},
         header=DECOMPOSITION_HEADER,
-        rows=[row for b in blocks for row in b.rows],
-        lines=[line for b in blocks for line in b.lines],
+        rows=lambda: [row for b in blocks for row in b.rows()],
+        lines=lambda: [line for b in blocks for line in b.lines()],
     )
 
 
@@ -265,20 +292,24 @@ def _cmd_verify(args: argparse.Namespace) -> Record:
     }[args.scope]
     report = runner()
     checks = report.checks
-    n_fail = sum(1 for c in checks if not c.ok)
-    lines = [f"{'PASS' if c.ok else 'FAIL'} {c.check_id}: {c.detail}" for c in checks]
-    if n_fail:
-        lines.append(f"{n_fail} of {len(checks)} checks FAILED")
-    else:
-        lines.append(f"all {len(checks)} checks passed")
+
+    def lines() -> list[str]:
+        n_fail = sum(1 for c in checks if not c.ok)
+        out = [f"{'PASS' if c.ok else 'FAIL'} {c.check_id}: {c.detail}" for c in checks]
+        if n_fail:
+            out.append(f"{n_fail} of {len(checks)} checks FAILED")
+        else:
+            out.append(f"all {len(checks)} checks passed")
+        return out
+
     return Record(
-        fields={
+        fields=lambda: {
             "scope": args.scope,
             "ok": report.ok,
             "checks": [{"id": c.check_id, "ok": c.ok, "detail": c.detail} for c in checks],
         },
         header=["check_id", "ok", "detail"],
-        rows=[[c.check_id, "pass" if c.ok else "FAIL", c.detail] for c in checks],
+        rows=lambda: [[c.check_id, "pass" if c.ok else "FAIL", c.detail] for c in checks],
         lines=lines,
         code=0 if report.ok else 1,
     )

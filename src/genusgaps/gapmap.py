@@ -78,8 +78,13 @@ def realizable_interval(d: int, n: int) -> Interval:
     _check_d(d, 4)
     if n < 1:
         raise ValueError(f"cutting degree must be >= 1, got {n}")
-    g, l = arithmetic_genus(d, n), linsys_dim(d, n)
-    return Interval(g - l, g)
+    return Interval(*_window(d, n))
+
+
+def _window(d: int, n: int) -> tuple[int, int]:
+    """Bottom and top of the degree-n window, for checked d >= 4 and n >= 1."""
+    g = arithmetic_genus(d, n)
+    return g - linsys_dim(d, n), g
 
 
 def candidate_gap_interval(d: int, n: int) -> Interval | None:
@@ -207,21 +212,36 @@ def status(d: int, g: int) -> GapStatus:
 
 
 def _window_union_within(d: int, horizon: int) -> IntervalSet:
-    """Union of all realizable windows clipped to [0, horizon].
+    """Union of the realizable windows within [0, horizon], for horizon = refined_horizon(d).
 
-    Window bottoms never decrease (fact (a), see ``certify_nongap``), so
-    the scan stops at the first window that starts above ``horizon``.
+    Each window is a part of its own, so the union is built in one pass with
+    no merging and no clipping.  The horizon is b(n*-1) - 1, where n* is the
+    least cutting degree from which consecutive windows join (fact (b), see
+    ``refined_horizon``), and window bottoms never decrease (fact (a), see
+    ``certify_nongap``).  So the windows that start at or below the horizon
+    are those at n <= n*-2, and the scan stops at the first one that does
+    not.  No two consecutive ones join, and the last ends below b(n*-1) - 1,
+    so the parts come out sorted and separated, all at or below the horizon
+    and, as bottoms are at least b(1) = d(d-3)/2 - 2 > 0 for d >= 5, above 0.
     """
     parts = []
     n = 1
-    while (w := realizable_interval(d, n)).lo <= horizon:
-        parts.append(Interval(w.lo, min(w.hi, horizon)))
+    while (w := _window(d, n))[0] <= horizon:
+        parts.append(Interval(*w))
         n += 1
-    return IntervalSet(parts).clip(Interval(0, horizon))
+    return IntervalSet._separated(tuple(parts))
 
 
 def decompose(d: int) -> GapDecomposition:
-    """Full certified decomposition of [0, horizon] for degree d."""
+    """Full certified decomposition of [0, horizon] for degree d.
+
+    Proved gaps and windows never overlap, so no genus is charted twice:
+    by fact (a) and the identities that ``tests/test_gapmap.py``
+    proves for every d, the ``Xu-initial`` range ends at b(1) - 1, below
+    every window, and the ``MainTheorem-Gaps1`` range runs from
+    p_a(d, 1) + 1, above the degree-1 window, to b(2) - 1, below every
+    later window.
+    """
     _check_d(d, 4)
     if d == 4:
         # every window starts at genus 0, so there is nothing left to chart
@@ -238,14 +258,11 @@ def decompose(d: int) -> GapDecomposition:
     sources = _proved_gaps(d)
     proved = IntervalSet(gaps for gaps, _ in sources).clip(bound)
     certified = _window_union_within(d, horizon)
-    covered = proved.union(certified)
-    if covered.count != proved.count + certified.count:
-        raise ArithmeticError(f"d={d}: proved gaps overlap certified non-gaps")
     return GapDecomposition(
         d=d,
         horizon=horizon,
         proved_gaps=proved,
-        unknown_candidates=covered.complement_within(bound),
+        unknown_candidates=proved.union(certified).complement_within(bound),
         nongap_certified=certified,
         proved_sources=sources,
     )

@@ -5,12 +5,20 @@ empty.  An ``IntervalSet`` keeps its parts sorted and *separated*
 (gap of at least one integer between consecutive parts), so equal sets of
 integers always have identical part tuples regardless of construction
 order, and "number of parts" is well defined.
+
+Only the constructor (and so ``union``) sorts and merges.  ``clip`` and
+``complement_within`` build their parts in order from an already
+separated set and keep them without re-normalizing: clipping shrinks each
+part, so the gaps between the survivors only widen, and the complement's
+parts are the gaps between consecutive parts, so a nonempty part lies
+between any two of them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
@@ -48,6 +56,13 @@ class IntervalSet:
         object.__setattr__(self, "parts", _normalize(intervals))
 
     @classmethod
+    def _separated(cls, parts: tuple[Interval, ...]) -> "IntervalSet":
+        """The set whose parts are ``parts``, which must already be sorted and separated."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "parts", parts)
+        return s
+
+    @classmethod
     def empty(cls) -> "IntervalSet":
         return cls(())
 
@@ -61,7 +76,11 @@ class IntervalSet:
     __or__ = union
 
     def complement_within(self, bound: Interval) -> "IntervalSet":
-        """Integers of ``bound`` not in this set, as a normalized set."""
+        """Integers of ``bound`` not in this set, as a normalized set.
+
+        Each part is the gap below a part of this set, or above the last
+        one, so the parts come out sorted and separated.
+        """
         out: list[Interval] = []
         cursor = bound.lo
         for part in self.parts:
@@ -71,19 +90,22 @@ class IntervalSet:
                 break
             if part.lo > cursor:
                 out.append(Interval(cursor, part.lo - 1))
-            cursor = max(cursor, part.hi + 1)
+            cursor = part.hi + 1  # parts ascend, so this never moves back
         if cursor <= bound.hi:
             out.append(Interval(cursor, bound.hi))
-        return IntervalSet(out)
+        return IntervalSet._separated(tuple(out))
 
     def clip(self, bound: Interval) -> "IntervalSet":
-        """Restriction of this set to ``bound``."""
+        """Restriction of this set to ``bound``.
+
+        Clipping only shrinks each part, so the parts stay sorted and separated.
+        """
         out = []
         for part in self.parts:
             lo, hi = max(part.lo, bound.lo), min(part.hi, bound.hi)
             if lo <= hi:
                 out.append(Interval(lo, hi))
-        return IntervalSet(out)
+        return IntervalSet._separated(tuple(out))
 
     def contains(self, g: int) -> bool:
         """Membership by binary search over the sorted parts."""
@@ -115,9 +137,13 @@ class IntervalSet:
         return "{" + ",".join(map(repr, self.parts)) + "}"
 
 
+# the dataclass order, as a C-level key: no Python-level __lt__ call per comparison
+_BOUNDS = attrgetter("lo", "hi")
+
+
 def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
     merged: list[Interval] = []
-    for iv in sorted(intervals):
+    for iv in sorted(intervals, key=_BOUNDS):
         if merged and iv.lo <= merged[-1].hi + 1:
             if iv.hi > merged[-1].hi:
                 merged[-1] = Interval(merged[-1].lo, iv.hi)

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import subprocess
+from collections import Counter
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from test_cli_golden import GOLDEN
 from genusgaps import cases as case_mod
 from genusgaps import cli
 from genusgaps.cases import CheckResult, VerificationReport
+from genusgaps.intervals import Interval, IntervalSet
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -315,3 +317,26 @@ class TestParserReuse:
         cli._build_parser.cache_clear()
         cli.main(["status", "6", "13"])
         assert len(built) == 7  # the counter sees a fresh build: the root and six subparsers
+
+
+class TestOnlyRequestedShape:
+    """``main`` builds only the shape its format prints.
+
+    Table lines print each part through ``Interval.__repr__`` and JSON
+    fields list them through ``IntervalSet.to_pairs``; CSV rows use neither.
+    """
+
+    WANT = {"table": {"__repr__"}, "json": {"to_pairs"}, "csv": set()}
+
+    @pytest.mark.parametrize("fmt", sorted(WANT))
+    @pytest.mark.parametrize("argv", [["decompose", "50"], ["table", "20", "23"]])
+    def test_other_shapes_are_not_built(self, capsys, monkeypatch, argv, fmt):
+        calls: Counter = Counter()
+        for cls, name in ((Interval, "__repr__"), (IntervalSet, "to_pairs")):
+            def counting(self, _fn=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _fn(self)
+            monkeypatch.setattr(cls, name, counting)
+        assert cli.main([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        assert {name for name, n in calls.items() if n} == self.WANT[fmt]

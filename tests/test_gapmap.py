@@ -265,3 +265,41 @@ class TestDecompose:
                 assert part is not None
                 for g in range(part.lo, part.hi + 1):
                     assert certify_nongap(d, g) is None, (d, g)
+
+    # Each proved range ends next to a window, so by fact (a) (the window
+    # bottoms b(n) = p_a(d, n) - l(d, n) never decrease, see
+    # ``certify_nongap``) it meets no window and ``decompose`` never charts a
+    # genus twice:
+    #   Xu-initial top           == b(1) - 1        for d >= 5
+    #   MainTheorem-Gaps1 bottom == p_a(d, 1) + 1   for d >= 6
+    #   MainTheorem-Gaps1 top    == b(2) - 1        for d >= 6
+    # On those degrees both sides are polynomials in d of degree at most 2:
+    # p_a(d, n) = d n (d+n-4)/2 + 1 for fixed n, l(d, n) = C(n+3, 3) - 1 for
+    # n < d, and the gap bounds are the quadratics of ``gapmap``, whose
+    # halvings of d(d-3) and d^2-3d+4 are exact because d and d-3 have
+    # opposite parity.  A polynomial of degree at most 2 that vanishes at
+    # three points is zero, so the three degrees from the least one prove
+    # each identity for every d.
+    IDENTITIES = {
+        "Xu-initial top": (
+            5, lambda d: initial_gap_interval(d).hi - (realizable_interval(d, 1).lo - 1)),
+        "MainTheorem-Gaps1 bottom": (
+            6, lambda d: second_gap_interval(d).lo - (arithmetic_genus(d, 1) + 1)),
+        "MainTheorem-Gaps1 top": (
+            6, lambda d: second_gap_interval(d).hi - (realizable_interval(d, 2).lo - 1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(IDENTITIES))
+    def test_proved_range_ends_next_to_a_window_for_every_degree(self, name):
+        least, difference = self.IDENTITIES[name]
+        for d in (least, least + 1, least + 2):
+            assert difference(d) == 0, (name, d)
+        # far degrees check the degree bound the argument rests on
+        for d in (10**6, 10**12 + 1):
+            assert difference(d) == 0, (name, d)
+
+    def test_halvings_are_exact(self):
+        # the parity of an integer polynomial in d depends only on d mod 2
+        for d in (0, 1):
+            assert d * (d - 3) % 2 == 0
+            assert (d * d - 3 * d + 4) % 2 == 0

@@ -83,24 +83,40 @@ def _draw_genus(data, d: int, region: str, dec, oracle_unknown: IntervalSet) -> 
     return data.draw(st.integers(part.lo, part.hi))
 
 
+def _decompose_against_scans(d: int):
+    """``decompose(d)`` checked against the scans; returns it and the oracle Unknown set."""
+    horizon = _scan_refined_horizon(d)
+    union = _scan_window_union(d, horizon)
+    dec = decompose(d)
+    assert refined_horizon(d) == dec.horizon == horizon
+    assert dec.nongap_certified == union
+    bound = Interval(0, horizon)
+    oracle_unknown = dec.proved_gaps.union(union).complement_within(bound)
+    assert dec.unknown_candidates == oracle_unknown
+    # the three sets partition [0, horizon]: they cover it and their counts add up
+    sets = (dec.proved_gaps, dec.unknown_candidates, dec.nongap_certified)
+    assert IntervalSet(p for s in sets for p in s) == IntervalSet((bound,))
+    assert sum(s.count for s in sets) == bound.count
+    return dec, oracle_unknown
+
+
 class TestAgainstScans:
     # each example runs every oracle once per region, Theta(d) formula calls each
     @settings(max_examples=100, deadline=None)
     @given(st.integers(5, 10**4), st.data())
     def test_matches_scans(self, d, data):
-        horizon = _scan_refined_horizon(d)
-        union = _scan_window_union(d, horizon)
-        dec = decompose(d)
-        assert refined_horizon(d) == dec.horizon == horizon
-        assert dec.nongap_certified == union
-        oracle_unknown = dec.proved_gaps.union(union).complement_within(Interval(0, horizon))
-        assert dec.unknown_candidates == oracle_unknown
+        dec, oracle_unknown = _decompose_against_scans(d)
         for region in ("gap", "window", "unknown", "above"):
             g = _draw_genus(data, d, region, dec, oracle_unknown)
             n = _first_n_reaching(d, g)
             assert arithmetic_genus(d, n) >= g
             assert n == 1 or arithmetic_genus(d, n - 1) < g
             assert certify_nongap(d, g) == _scan_certify(d, g), (d, g, region)
+
+    # the largest degrees the benchmark's decompose-sweep reaches, and twice that
+    @pytest.mark.parametrize("d", [5 * 10**4, 10**5])
+    def test_matches_scans_at_workload_degrees(self, d):
+        _decompose_against_scans(d)
 
     @pytest.mark.parametrize("d", [10**5, 2 * 10**5])
     def test_refined_horizon_at_large_degree(self, d):

@@ -125,6 +125,12 @@ class TestAgainstOracle:
         clipped = s.clip(bound)
         assert clipped.complement_within(bound).complement_within(bound) == clipped
 
+    @given(interval_sets, pairs)
+    def test_clip_and_complement_are_normalized_by_construction(self, s, bound):
+        # both keep their parts as built, without re-normalizing them
+        for result in (s.clip(bound), s.complement_within(bound)):
+            assert IntervalSet(result.parts) == result
+
     @given(interval_sets)
     def test_oracle_normalizer_agrees(self, s):
         assert from_members(members(s)) == s
