@@ -61,7 +61,6 @@ from .gapmap import candidate_gap_interval
 from .picard import (
     BUILTINS,
     PicardLattice,
-    adjunction_genus,
     builtin_lattice,
     family_dim_bound,
     intersect,
@@ -452,32 +451,51 @@ def check_elimination(
     return tuple(checks)
 
 
-def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
-    """Run every applicable family against every restricted triple."""
-    records = default_cases() if cases is None else cases
+def _eliminations(records: tuple[CaseRecord, ...]) -> list[EliminationCheck]:
+    """Every family against every restricted triple, in report order.
+
+    Each check carries its (record id, d) key in ``case_id`` and ``d``.
+    """
     triples = restricted_triples()
     checks = []
     for record in _by_id(records):
         # triples are sorted by d, so each degree's genera come in one run
         ours = (t for t in triples if t[1] == record.n)
         for d, run in itertools.groupby(ours, key=lambda t: t[0]):
-            for res in check_elimination(record, d, tuple(g for _, _, g in run)):
-                checks.append(
-                    CheckResult(
-                        check_id=f"eliminate/{record.id}/d{d}-n{res.n}-g{res.g}",
-                        ok=res.ok,
-                        detail=res.detail(),
-                    )
-                )
-    return VerificationReport(checks=tuple(checks))
+            checks.extend(check_elimination(record, d, tuple(g for _, _, g in run)))
+    return checks
 
 
-def _kappa_checks(records: tuple[CaseRecord, ...]) -> list[CheckResult]:
+def _elimination_result(res: EliminationCheck) -> CheckResult:
+    return CheckResult(
+        check_id=f"eliminate/{res.case_id}/d{res.d}-n{res.n}-g{res.g}",
+        ok=res.ok,
+        detail=res.detail(),
+    )
+
+
+def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
+    """Run every applicable family against every restricted triple."""
+    records = default_cases() if cases is None else cases
+    return VerificationReport(checks=tuple(map(_elimination_result, _eliminations(records))))
+
+
+def _kappa_checks(
+    records: tuple[CaseRecord, ...], known: dict[tuple[str, int], int] | None = None
+) -> list[CheckResult]:
+    """Swept -kappa against the documented bound at the audit degrees.
+
+    ``known`` maps (record id, d) to a -kappa already swept within the same
+    call, which is taken instead of sweeping again.
+    """
+    known = known or {}
     checks = []
     for record in _by_id(records):
         degrees = range(5, 21) if record.n == 3 else (6,)
         for d in degrees:
-            got = max_neg_canonical_degree(record, d)
+            got = known.get((record.id, d))
+            if got is None:
+                got = max_neg_canonical_degree(record, d)
             want = expected_neg_kappa(record, d)
             checks.append(
                 CheckResult(
@@ -500,13 +518,22 @@ def _lattice_checks() -> list[CheckResult]:
                 detail=f"K.K = {k2}, documented {lat.k2}",
             )
         )
-    # adjunction ties the lattice models back to the closed-form genus
+    # adjunction ties the lattice models back to the closed-form genus.  The
+    # intersection form is bilinear, so (d*H).(d*H) = d^2 H.H and K.(d*H) =
+    # d K.H, and p_a(d*H) = (d^2 H.H + d K.H)/2 + 1 exactly: the audit reads
+    # H.H and K.H once per lattice and evaluates that quadratic for each d.
     for lat in sorted((lat for lat in BUILTINS if lat.degree), key=lambda lat: lat.degree):
         h = lat.cls("H")
-        ok = all(
-            adjunction_genus(lat, d * h) == arithmetic_genus(lat.degree, d)
-            for d in range(1, 31)
-        )
+        hh, kh = intersect(lat, h, h), intersect(lat, lat.canonical, h)
+        ok = True
+        for d in range(1, 31):
+            total = d * d * hh + d * kh
+            if total % 2:
+                # the same error, at the same first d, as picard.adjunction_genus
+                raise ArithmeticError(f"{lat.name}: adjunction not integral on {d * h}")
+            if total // 2 + 1 != arithmetic_genus(lat.degree, d):
+                ok = False
+                break
         checks.append(
             CheckResult(
                 check_id=f"adjunction/{lat.name}",
@@ -525,7 +552,15 @@ def verify_kappa(cases: tuple[CaseRecord, ...] | None = None) -> VerificationRep
 
 
 def verify_all(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
+    """The elimination checks, then the audit; each (record, d) is swept once.
+
+    The elimination's (record, d) pairs lie among the audit degrees, so the
+    audit takes their -kappa from the elimination checks of this call.
+    """
     records = default_cases() if cases is None else cases
+    eliminations = _eliminations(records)
+    known = {(res.case_id, res.d): res.max_neg_kappa for res in eliminations}
     return VerificationReport(
-        checks=verify_elimination(records).checks + verify_kappa(records).checks
+        checks=tuple(map(_elimination_result, eliminations))
+        + tuple(_kappa_checks(records, known) + _lattice_checks())
     )

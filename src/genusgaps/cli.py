@@ -28,6 +28,7 @@ from . import cases as case_mod
 from .gapmap import (
     Certificate,
     GapDecomposition,
+    _check_d,
     certify_nongap,
     coarse_horizon,
     decompose,
@@ -174,6 +175,7 @@ def _cmd_status(args: argparse.Namespace) -> Record:
 
 
 def _cmd_certify(args: argparse.Namespace) -> Record:
+    _check_d(args.d, 1)  # below 1 is no surface degree at all
     if args.d < 4:
         raise ValueError(
             f"certificates exist only for degree >= 4, got {args.d}"
@@ -245,6 +247,7 @@ def _decomposition(dec: GapDecomposition) -> Record:
 
 
 def _check_decomposable(d: int) -> None:
+    _check_d(d, 1)  # below 1 is no surface degree at all
     if d < 4:
         raise ValueError(
             f"no gap decomposition for degree {d}: surfaces of degree at most 3"

@@ -23,6 +23,7 @@ the surface (``degree``); the case-table audit reads both from here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,14 @@ class PicardLattice:
 
 
 def intersect(lat: PicardLattice, a: DivisorClass, b: DivisorClass) -> int:
-    """Intersection number a . b, evaluated exactly through the Gram matrix."""
+    """Intersection number a . b, evaluated exactly through the Gram matrix.
+
+    A row-by-row dot product: each nonzero a_i scales the dot product of
+    Gram row i with b, all in exact integers.
+    """
     if len(a.coeffs) != lat.rank or len(b.coeffs) != lat.rank:
         raise ValueError(f"{lat.name}: class rank does not match lattice rank {lat.rank}")
-    return sum(
-        ai * lat.gram[i][j] * bj
-        for i, ai in enumerate(a.coeffs)
-        if ai
-        for j, bj in enumerate(b.coeffs)
-        if bj
-    )
+    return sum(ai * sum(map(mul, row, b.coeffs)) for ai, row in zip(a.coeffs, lat.gram) if ai)
 
 
 def canonical_degree(lat: PicardLattice, gamma: DivisorClass) -> int:

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import genusgaps.cases as case_mod
 from genusgaps.cases import (
     CaseDataError,
     CaseRecord,
+    CheckResult,
     SweepConstraint,
     SweepParam,
     _linear_forms,
@@ -31,10 +33,12 @@ from genusgaps.cases import (
     verify_elimination,
     verify_kappa,
 )
-from genusgaps.formulas import cut_system_dim
+from genusgaps.formulas import arithmetic_genus, cut_system_dim
 from genusgaps.picard import (
+    BUILTINS,
     DivisorClass,
     PicardLattice,
+    adjunction_genus,
     builtin_lattice,
     canonical_degree,
     family_dim_bound,
@@ -698,8 +702,6 @@ class TestVerify:
         assert seen == set(THIRTEEN)
 
     def test_one_sweep_per_family_and_degree(self, monkeypatch):
-        import genusgaps.cases as case_mod
-
         swept = []
         real = case_mod.max_neg_canonical_degree
         monkeypatch.setattr(
@@ -710,8 +712,6 @@ class TestVerify:
         assert len(swept) == len(set(swept)) == 40  # 8 cubic families x 3 + 16 quartic x 1
 
     def test_verify_all_work_counts(self, monkeypatch):
-        import genusgaps.cases as case_mod
-
         counts = {"max_neg_canonical_degree": 0, "check_elimination": 0, "intersect": 0}
 
         def counted(name):
@@ -726,13 +726,15 @@ class TestVerify:
         for name in counts:
             monkeypatch.setattr(case_mod, name, counted(name))
         verify_all()
-        # 40 elimination sweeps, one per (family, degree) run, plus the audit's
-        # 8 cubic families x 16 degrees + 16 quartic families x 1
-        assert counts["max_neg_canonical_degree"] == 40 + 8 * 16 + 16
+        # the audit's 8 cubic families x 16 degrees + 16 quartic families x 1;
+        # the 40 elimination sweeps, one per (family, degree) run, are among
+        # them and serve the audit too
+        assert counts["max_neg_canonical_degree"] == 8 * 16 + 16
         assert counts["check_elimination"] == 40
-        # the Gram readings: 70 as the 24 records are constructed, 327 in the
-        # linear forms of the 184 sweeps, 21 for the lattices' K.K
-        assert counts["intersect"] == 70 + 327 + 21
+        # the Gram readings: 70 as the 24 records are constructed, 235 in the
+        # linear forms of the 144 sweeps, 21 for the lattices' K.K, and H.H
+        # and K.H for each of the 11 lattices with a surface degree
+        assert counts["intersect"] == 70 + 235 + 21 + 2 * 11
         points = 0
 
         def product(*ranges):
@@ -786,3 +788,126 @@ class TestVerify:
         report = verify_elimination((doctored,))
         assert not report.ok
         assert all(not c.ok for c in report.checks)
+
+
+# The lattice audit as it stood before the bilinear rewrite, kept verbatim as
+# the differential oracle: it builds d*H for every d and runs adjunction_genus.
+
+
+def _lattice_checks() -> list[CheckResult]:
+    checks = []
+    for lat in sorted(BUILTINS, key=lambda lat: lat.name):
+        k2 = intersect(lat, lat.canonical, lat.canonical)
+        checks.append(
+            CheckResult(
+                check_id=f"lattice/{lat.name}/K2",
+                ok=k2 == lat.k2,
+                detail=f"K.K = {k2}, documented {lat.k2}",
+            )
+        )
+    # adjunction ties the lattice models back to the closed-form genus
+    for lat in sorted((lat for lat in BUILTINS if lat.degree), key=lambda lat: lat.degree):
+        h = lat.cls("H")
+        ok = all(
+            adjunction_genus(lat, d * h) == arithmetic_genus(lat.degree, d)
+            for d in range(1, 31)
+        )
+        checks.append(
+            CheckResult(
+                check_id=f"adjunction/{lat.name}",
+                ok=ok,
+                detail=f"p_a(d*H) matches the degree-{lat.degree} genus formula"
+                " for d in 1..30",
+            )
+        )
+    return checks
+
+
+def audit_outcome(audit):
+    """The checks of one lattice audit, or the type of the error it raises."""
+    try:
+        return audit()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def doctor(name: str, **changes) -> tuple[PicardLattice, ...]:
+    """BUILTINS with the named lattice rebuilt under ``changes``."""
+    return tuple(
+        dataclasses.replace(lat, **changes) if lat.name == name else lat for lat in BUILTINS
+    )
+
+
+class TestLatticeAudit:
+    def test_builtins_match_oracle(self):
+        assert case_mod._lattice_checks() == _lattice_checks()
+        assert all(c.ok for c in _lattice_checks())
+
+    @pytest.mark.parametrize(
+        "doctored,raises",
+        [
+            pytest.param(doctor("k3_quartic", degree=3), False, id="wrong-degree-k3"),
+            pytest.param(doctor("blowup_plane(6)", degree=4), False, id="wrong-degree-cubic"),
+            pytest.param(doctor("dp1_sep", k2=0), False, id="wrong-k2-with-degree"),
+            pytest.param(doctor("veronese", k2=8), False, id="wrong-k2-no-degree"),
+            pytest.param(
+                doctor("k3_quartic", named={"H": DivisorClass((2,))}), False, id="wrong-h"
+            ),
+            # Gram changes that make H.H + K.H odd
+            pytest.param(doctor("k3_quartic", gram=((5,),)), True, id="odd-gram-k3"),
+            pytest.param(
+                doctor("elliptic_cone", gram=((-2, 1), (1, 0))), True, id="odd-gram-cone"
+            ),
+        ],
+    )
+    def test_doctored_lattices_match_oracle(self, monkeypatch, doctored, raises):
+        # the oracle reads this module's BUILTINS, the audit that of cases
+        monkeypatch.setitem(globals(), "BUILTINS", doctored)
+        monkeypatch.setattr(case_mod, "BUILTINS", doctored)
+        want = audit_outcome(_lattice_checks)
+        assert audit_outcome(case_mod._lattice_checks) == want
+        if raises:
+            assert want is ArithmeticError
+        else:
+            assert sum(not c.ok for c in want) == 1
+
+    @pytest.mark.parametrize("lat", [lat for lat in BUILTINS if "H" in lat.named],
+                             ids=lambda lat: lat.name)
+    def test_quadratic_is_adjunction_genus(self, lat):
+        # both sides are polynomials of degree <= 2 in d, since intersect is
+        # bilinear, so agreement at three degrees is agreement at every d
+        h = lat.cls("H")
+        hh, kh = intersect(lat, h, h), intersect(lat, lat.canonical, h)
+        for d in (1, 2, 3):
+            total = d * d * hh + d * kh
+            assert total == intersect(lat, d * h, d * h) + canonical_degree(lat, d * h)
+            if total % 2:
+                with pytest.raises(ArithmeticError):
+                    adjunction_genus(lat, d * h)
+            else:
+                assert total // 2 + 1 == adjunction_genus(lat, d * h)
+
+
+class TestSharedSweeps:
+    def test_shipped_table(self):
+        assert verify_all().checks == verify_elimination().checks + verify_kappa().checks
+
+    def test_doctored_kappa_fails_in_both(self):
+        cubic = by_id("cubic-ii.b-ddag")
+        per_d, const = cubic.expected_neg_kappa
+        doctored = tuple(
+            dataclasses.replace(r, expected_neg_kappa=(per_d, const + 1))
+            if r.id == cubic.id else r
+            for r in default_cases()
+        )
+        # the pair (cubic, 7) is swept by the elimination and reused by the audit
+        assert any(c.d == 7 for c in case_mod._eliminations((cubic,)))
+        combined = verify_all(doctored)
+        assert combined.checks == (
+            verify_elimination(doctored).checks + verify_kappa(doctored).checks
+        )
+        by_check = {c.check_id: c for c in combined.checks}
+        at_seven = by_check[f"kappa/{cubic.id}/d7"]
+        assert not at_seven.ok
+        assert at_seven.detail == f"max -kappa {per_d * 7 + const}, documented {per_d * 7 + const + 1}"
+        assert not combined.ok

@@ -52,6 +52,9 @@ GOLDEN = {
     "decompose 3 --format json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "table 9 4": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "status 6 -1 --format csv": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "decompose 0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "bounds -3": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "certify 0 5": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     # large degrees: a genus between windows 50 and 51, one in window 50, and the horizon searches
     "status 1000000 1000000000000000": ("ae3411feb9a8faed80f1129ae5466d4ad500a56829f1eb1bc1927ed63c77a749", 0),
     "certify 100000 250115000003": ("826c21311398e4f5f4c58af98c0364d2b777aee28acca2fe78405abe1cfc0ba7", 0),
@@ -68,6 +71,10 @@ GOLDEN_STDERR = {
     " degree at most 3 are rational and carry irreducible curves of every genus\n",
     "table 9 4": "error: need 4 <= d_min <= d_max, got d_min=9, d_max=4\n",
     "status 6 -1 --format csv": "error: genus must be >= 0, got -1\n",
+    # below degree 1 there is no surface, so the library's degree check speaks
+    "decompose 0": "error: surface degree must be >= 1, got 0\n",
+    "bounds -3": "error: surface degree must be >= 1, got -3\n",
+    "certify 0 5": "error: surface degree must be >= 1, got 0\n",
 }
 
 

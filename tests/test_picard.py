@@ -12,6 +12,7 @@ from genusgaps.formulas import arithmetic_genus
 from genusgaps.picard import (
     BUILTINS,
     DivisorClass,
+    PicardLattice,
     adjunction_genus,
     builtin_lattice,
     builtin_names,
@@ -79,6 +80,30 @@ RULED = {
 def diag_intersect(signs: list[int], a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Independent evaluation for diagonal Gram matrices."""
     return sum(s * x * y for s, x, y in zip(signs, a, b))
+
+
+def nested_intersect(lat: PicardLattice, a: DivisorClass, b: DivisorClass) -> int:
+    """Intersection number a . b, evaluated exactly through the Gram matrix."""
+    if len(a.coeffs) != lat.rank or len(b.coeffs) != lat.rank:
+        raise ValueError(f"{lat.name}: class rank does not match lattice rank {lat.rank}")
+    return sum(
+        ai * lat.gram[i][j] * bj
+        for i, ai in enumerate(a.coeffs)
+        if ai
+        for j, bj in enumerate(b.coeffs)
+        if bj
+    )
+
+
+@st.composite
+def lattice_and_classes(draw, rank_shift: int = 0):
+    """A built-in lattice and two classes on it, the second ``rank_shift`` longer."""
+    lat = draw(st.sampled_from(BUILTINS))
+    coeffs = st.integers(-(10**6), 10**6) | st.sampled_from([0, 0, 1, -1])
+    a = draw(st.lists(coeffs, min_size=lat.rank, max_size=lat.rank))
+    size = lat.rank + rank_shift
+    b = draw(st.lists(coeffs, min_size=size, max_size=size))
+    return lat, DivisorClass(tuple(a)), DivisorClass(tuple(b))
 
 
 class TestBuiltins:
@@ -208,6 +233,21 @@ class TestIntersect:
         lat = builtin_lattice("segre")
         with pytest.raises(ValueError):
             intersect(lat, DivisorClass((1, 0)), lat.cls("H"))
+
+    @given(lattice_and_classes())
+    def test_matches_nested_oracle(self, drawn):
+        lat, a, b = drawn
+        assert intersect(lat, a, b) == nested_intersect(lat, a, b)
+        assert intersect(lat, b, a) == intersect(lat, a, b)
+
+    @given(lattice_and_classes(rank_shift=-1) | lattice_and_classes(rank_shift=1))
+    def test_rank_mismatch_on_either_side(self, drawn):
+        lat, a, b = drawn
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="does not match lattice rank"):
+                nested_intersect(lat, x, y)
+            with pytest.raises(ValueError, match="does not match lattice rank"):
+                intersect(lat, x, y)
 
 
 class TestCanonicalDegree:
