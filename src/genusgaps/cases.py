@@ -346,11 +346,18 @@ def restricted_triples() -> tuple[tuple[int, int, int], ...]:
 
 
 def _is_restricted(d: int, n: int, g: int) -> bool:
-    """Whether (d, n, g) is in ``restricted_triples()``, without building it."""
+    """Whether (d, n, g) is in ``restricted_triples()``, without building it.
+
+    ``allowed_cutting_degrees(d, g)`` collects n = 3, 4, ... up to the first
+    with ``clemens_min_genus(d, n) > g``.  For d >= 6 that bound,
+    n d (d-5)/2 + 2, strictly increases in n, as d(d-5) > 0, so no later n
+    passes either: the set is exactly the n >= 3 whose bound is at most g,
+    and membership is one evaluation, with no set built.
+    """
     if d not in RESTRICTED_DEGREES:
         return False
     window = candidate_gap_interval(d, 1)
-    return window is not None and g in window and n in allowed_cutting_degrees(d, g)
+    return window is not None and g in window and n >= 3 and clemens_min_genus(d, n) <= g
 
 
 def _linear_forms(

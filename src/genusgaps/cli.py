@@ -12,6 +12,11 @@ the record says how to build its answer in each shape, and ``main``
 builds and renders only the requested one, then writes stdout once.
 The module holds one argparse parser, built on the first call and never
 mutated by parsing, so concurrent calls to ``main`` stay safe.
+
+JSON is written by the module's own emitter, ``_json``, whose output is
+byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)``:
+with ``indent`` set, ``json.dumps`` runs its pure-Python encoder, which
+cost more than building the record for a large decomposition.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import cases as case_mod
@@ -85,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
 def _render(args: argparse.Namespace, record: Record) -> str:
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **record.fields()}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json(payload, "") + "\n"
     if args.format == "csv":
         lines = [",".join(record.header)] + [
             ",".join(["" if v is None else str(v) for v in row]) for row in record.rows()
@@ -93,6 +100,53 @@ def _render(args: argparse.Namespace, record: Record) -> str:
     else:
         lines = record.lines()
     return "".join(line + "\n" for line in lines)
+
+
+def _json(value: object, pad: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it, nested at ``pad``.
+
+    Dict keys are str, as in every record.  Strings go through the C
+    escaper ``json.dumps`` itself uses under ``ensure_ascii``, ints (not
+    bools) through ``int.__repr__``, and any other scalar through
+    ``json.dumps``.  A list of int lists of one length, such as the
+    interval pairs of a decomposition, is rendered with one ``%d``
+    template; its types and lengths are checked at C speed first, so a
+    bool or float inside falls back to the general path.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join(
+            encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if (
+            set(map(type, value)) == {list}
+            and len(widths := set(map(len, value))) == 1
+            and set(map(type, chain.from_iterable(value))) == {int}
+        ):
+            cell = inner + "  "
+            row = "[\n" + cell + (",\n" + cell).join(["%d"] * widths.pop()) + "\n" + inner + "]"
+            body = sep.join(map(row.__mod__, map(tuple, value)))
+        else:
+            body = sep.join(_json(item, inner) for item in value)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(value)
 
 
 # built on first use, not at import, so importing the module stays cheap

@@ -47,11 +47,8 @@ def arithmetic_genus(d: int, n: int) -> int:
     """Arithmetic genus of a complete intersection of degrees (d, n)."""
     _check_degree(d)
     _check_cut(n)
-    prod = d * n * (d + n - 4)
-    # always even: d*n*(d+n) has an even factor whenever d, n are both odd
-    if prod % 2:
-        raise ArithmeticError(f"genus formula not integral at d={d}, n={n}")
-    return prod // 2 + 1
+    # d*n*(d+n-4) is even for every d and n, proved in tests/test_formulas.py
+    return d * n * (d + n - 4) // 2 + 1
 
 
 def cut_system_dim(n: int, d: int) -> int:
@@ -75,10 +72,8 @@ def clemens_min_genus(d: int, n: int) -> int:
         raise ValueError(f"genus bound requires d >= 5, got {d}")
     if n < 1:
         raise ValueError(f"cutting degree must be >= 1, got {n}")
-    prod = n * d * (d - 5)
-    if prod % 2:
-        raise ArithmeticError(f"bound not integral at d={d}, n={n}")
-    return prod // 2 + 2
+    # n*d*(d-5) is even for every d and n, proved in tests/test_formulas.py
+    return n * d * (d - 5) // 2 + 2
 
 
 def contiguity_holds(d: int, n: int) -> bool:

@@ -223,11 +223,27 @@ def _window_union_within(d: int, horizon: int) -> IntervalSet:
     not.  No two consecutive ones join, and the last ends below b(n*-1) - 1,
     so the parts come out sorted and separated, all at or below the horizon
     and, as bottoms are at least b(1) = d(d-3)/2 - 2 > 0 for d >= 5, above 0.
+
+    Only the window at n = 1 is evaluated; each later one is stepped from
+    the one before with exact integers.  Every window read has n <= n*-1
+    <= d-1, and for n < d the dimension is l(n) = C(n+3,3) - 1.  So the
+    steps are the identities
+
+        p_a(d, n+1) - p_a(d, n) = d(2n+d-3)/2,
+        l(n+1) - l(n) = C(n+4,3) - C(n+3,3) = C(n+3,2)   (n+1 < d),
+
+    which ``tests/test_gapmap.py`` proves for every d and n; d(2n+d-3) has
+    the parity of d(d-3), which is even as d and d-3 have opposite parity.
     """
     parts = []
+    lo, top = _window(d, 1)
+    dim = top - lo
     n = 1
-    while (w := _window(d, n))[0] <= horizon:
-        parts.append(Interval(*w))
+    while lo <= horizon:
+        parts.append(Interval(lo, top))
+        top += d * (2 * n + d - 3) // 2
+        dim += (n + 3) * (n + 2) // 2
+        lo = top - dim
         n += 1
     return IntervalSet._separated(tuple(parts))
 

@@ -21,6 +21,7 @@ from genusgaps.cases import (
     CheckResult,
     SweepConstraint,
     SweepParam,
+    _is_restricted,
     _linear_forms,
     allowed_cutting_degrees,
     check_elimination,
@@ -34,6 +35,7 @@ from genusgaps.cases import (
     verify_kappa,
 )
 from genusgaps.formulas import arithmetic_genus, cut_system_dim
+from genusgaps.gapmap import candidate_gap_interval
 from genusgaps.picard import (
     BUILTINS,
     DivisorClass,
@@ -628,6 +630,20 @@ class TestCheckElimination:
                         assert not restricted, (d, n, g)
                     else:
                         assert restricted, (d, n, g)
+
+    def test_guard_matches_the_set_building_predicate(self):
+        # the earlier guard, kept as the oracle: it builds the allowed set per genus
+        def set_building(d, n, g):
+            if d not in case_mod.RESTRICTED_DEGREES:
+                return False
+            window = candidate_gap_interval(d, 1)
+            return window is not None and g in window and n in allowed_cutting_degrees(d, g)
+
+        for d in case_mod.RESTRICTED_DEGREES:
+            window = candidate_gap_interval(d, 1)
+            for g in range(window.lo - 3, window.hi + 4):
+                for n in range(13):
+                    assert _is_restricted(d, n, g) == set_building(d, n, g), (d, n, g)
 
     def test_multi_genus_call_matches_single_calls(self):
         for record in default_cases():

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_cli_golden import GOLDEN
 
 from genusgaps import cases as case_mod
@@ -340,3 +342,56 @@ class TestOnlyRequestedShape:
         assert cli.main([*argv, "--format", fmt]) == 0
         assert capsys.readouterr().out
         assert {name for name, n in calls.items() if n} == self.WANT[fmt]
+
+
+@st.composite
+def _spoiled_pairs(draw):
+    """Equal-length int lists with one bool or float slipped in."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(), min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    row = draw(st.sampled_from(rows))
+    row[draw(st.integers(0, width - 1))] = draw(st.booleans() | st.floats())
+    return rows
+
+
+_PAIRS = st.integers(0, 3).flatmap(
+    lambda width: st.lists(st.lists(st.integers(), min_size=width, max_size=width), max_size=4)
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | st.floats()
+    | st.text() | _PAIRS | _spoiled_pairs(),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonEmitter:
+    """``cli._json`` writes what ``json.dumps(..., sort_keys=True, indent=2)`` writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._json(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_pair_lists_with_a_stray_scalar_fall_back(self):
+        for stray in (True, False, 1.5, None, "7"):
+            value = {"proved": [[0, 6], [11, stray]], "empty": [[], []]}
+            assert cli._json(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_no_render_reaches_the_pure_python_encoder(self, capsys, monkeypatch):
+        calls = []
+        make = json.encoder._make_iterencode
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+        argvs = [argv.split() for argv in sorted(GOLDEN) if argv.endswith("--format json")]
+        outs = [run(capsys, *argv)[1] for argv in [*argvs, ["decompose", "50000", "--format", "json"]]]
+        assert calls == []
+        for out in outs:
+            if out:
+                assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,13 @@ class TestArithmeticGenus:
     def test_integral_at_scale(self, d, n):
         assert isinstance(arithmetic_genus(d, n), int)
 
+    def test_halving_is_exact_for_every_degree(self):
+        # arithmetic_genus halves d*n*(d+n-4) unchecked; the parity of an
+        # integer polynomial depends only on its arguments mod 2, so the four
+        # residues of (d, n) prove the numerator even for every d and n
+        for d, n in itertools.product((0, 1), repeat=2):
+            assert d * n * (d + n - 4) % 2 == 0, (d, n)
+
 
 class TestCutSystemDim:
     def test_documented_values(self):
@@ -127,6 +136,13 @@ class TestClemensMinGenus:
                 g = clemens_min_genus(d, n)
                 assert 2 * g > bound2
                 assert 2 * (g - 1) <= bound2
+
+    def test_halving_is_exact_for_every_degree(self):
+        # clemens_min_genus halves n*d*(d-5) unchecked; d and d-5 have
+        # opposite parity, so d*(d-5) is even, and as above the four
+        # residues of (d, n) mod 2 prove the numerator even for every d and n
+        for d, n in itertools.product((0, 1), repeat=2):
+            assert n * d * (d - 5) % 2 == 0, (d, n)
 
     def test_rejects_low_degree(self):
         with pytest.raises(ValueError):

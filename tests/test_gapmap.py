@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from genusgaps.gapmap import (
     SOURCE_SEVERI,
     SOURCE_XU,
     UNKNOWN,
+    _window_union_within,
     candidate_gap_interval,
     certify_nongap,
     coarse_horizon,
@@ -303,3 +306,44 @@ class TestDecompose:
         for d in (0, 1):
             assert d * (d - 3) % 2 == 0
             assert (d * d - 3 * d + 4) % 2 == 0
+
+
+class TestWindowSteps:
+    """The identities ``_window_union_within`` steps by, proved for every d and n.
+
+    The scan evaluates the window at n = 1 and steps the top by
+    p_a(d, n+1) - p_a(d, n) = d(2n+d-3)/2 and the dimension by
+    l(n+1) - l(n) = C(n+3, 2), which holds while n+1 < d.
+    """
+
+    def test_top_step_for_every_degree(self):
+        # p_a(d, n) = d n (d+n-4)/2 + 1 exactly (its halving is proved exact in
+        # test_formulas), so each side is a polynomial of degree at most 2 in d
+        # and at most 2 in n; two such polynomials that agree on a 3 x 3 grid
+        # agree everywhere
+        for d, n in itertools.product((5, 6, 7), (1, 2, 3)):
+            assert arithmetic_genus(d, n + 1) - arithmetic_genus(d, n) == d * (2 * n + d - 3) // 2
+
+    def test_top_step_halving_is_exact(self):
+        # the parity of d(2n+d-3) depends only on (d, n) mod 2
+        for d, n in itertools.product((0, 1), repeat=2):
+            assert d * (2 * n + d - 3) % 2 == 0, (d, n)
+
+    def test_dimension_step_for_every_degree(self):
+        # C(n+4, 3) and C(n+3, 3) are cubics in n with one leading coefficient
+        # 1/6, so their difference minus C(n+3, 2) has degree at most 2 and
+        # three values of n prove it zero
+        for n in (0, 1, 2):
+            assert comb(n + 4, 3) - comb(n + 3, 3) == comb(n + 3, 2)
+        # below d the system dimension is l(n) = C(n+3, 3) - 1
+        for d in (5, 6, 10**6):
+            for n in (0, 1, 2, d - 2):
+                assert linsys_dim(d, n) == comb(n + 3, 3) - 1
+                assert linsys_dim(d, n + 1) - linsys_dim(d, n) == comb(n + 3, 2)
+
+    # the decompose-sweep workload draws degrees from 5 to 5 * 10**4
+    @pytest.mark.parametrize("d", [*range(5, 40), 999, 5 * 10**4, 10**5])
+    def test_scan_reads_only_degrees_below_d(self, d):
+        # the scan keeps the windows at 1..k and stops on reading the one at k+1
+        last_read = len(_window_union_within(d, refined_horizon(d)).parts) + 1
+        assert last_read <= d - 1

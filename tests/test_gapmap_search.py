@@ -3,7 +3,10 @@
 ``_scan_certify``, ``_scan_refined_horizon`` and ``_scan_window_union`` are
 the earlier ``certify_nongap``, ``refined_horizon`` and
 ``_window_union_within`` loops, kept verbatim as oracles: they walk every
-cutting degree up to d and assume neither monotonicity fact.  The
+cutting degree up to d and assume neither monotonicity fact.
+``_scan_window_parts`` is the later one-pass ``_window_union_within``,
+which evaluates ``_window`` at every n, kept as the oracle of the
+forward-difference scan that replaced it.  The
 work-count tests pin the cost of the searches by counting the formula
 calls ``gapmap`` makes, through its own imported names.
 """
@@ -67,6 +70,15 @@ def _scan_window_union(d: int, horizon: int) -> IntervalSet:
     return IntervalSet(parts).clip(bound)
 
 
+def _scan_window_parts(d: int, horizon: int) -> IntervalSet:
+    parts = []
+    n = 1
+    while (w := gapmap._window(d, n))[0] <= horizon:
+        parts.append(Interval(*w))
+        n += 1
+    return IntervalSet._separated(tuple(parts))
+
+
 def _draw_genus(data, d: int, region: str, dec, oracle_unknown: IntervalSet) -> int:
     """A genus in a proved gap, a window, an oracle Unknown range, or above the horizon."""
     if region == "gap":
@@ -117,6 +129,12 @@ class TestAgainstScans:
     @pytest.mark.parametrize("d", [5 * 10**4, 10**5])
     def test_matches_scans_at_workload_degrees(self, d):
         _decompose_against_scans(d)
+
+    def test_window_steps_match_window_per_n(self):
+        for d in [*range(5, 301), 5 * 10**4, 10**5]:
+            horizon = refined_horizon(d)
+            got = gapmap._window_union_within(d, horizon)
+            assert got.parts == _scan_window_parts(d, horizon).parts, d
 
     @pytest.mark.parametrize("d", [10**5, 2 * 10**5])
     def test_refined_horizon_at_large_degree(self, d):
