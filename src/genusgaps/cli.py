@@ -29,6 +29,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Callable
 
 from . import cases as case_mod
@@ -46,6 +47,9 @@ from .gapmap import (
 SCHEMA_VERSION = "1"
 DECOMPOSITION_HEADER = ["d", "kind", "lo", "hi", "source"]
 
+_LO = attrgetter("lo")
+_BOUNDS = attrgetter("lo", "hi")
+
 
 @dataclass(frozen=True)
 class Record:
@@ -53,11 +57,12 @@ class Record:
 
     ``fields``, ``rows`` and ``lines`` take no arguments and build their
     shape when called; ``_render`` calls only the one its format needs.
+    ``rows`` returns finished CSV lines, most through ``_csv_row``.
     """
 
     fields: Callable[[], dict]
     header: list[str]
-    rows: Callable[[], list[list[object]]]
+    rows: Callable[[], list[str]]
     lines: Callable[[], list[str]]
     code: int = 0
 
@@ -94,12 +99,15 @@ def _render(args: argparse.Namespace, record: Record) -> str:
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **record.fields()}
         return _json(payload, "") + "\n"
     if args.format == "csv":
-        lines = [",".join(record.header)] + [
-            ",".join(["" if v is None else str(v) for v in row]) for row in record.rows()
-        ]
+        lines = [",".join(record.header), *record.rows()]
     else:
         lines = record.lines()
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + "\n"  # every record has at least one line
+
+
+def _csv_row(cells: list[object]) -> str:
+    """One CSV line: each cell through ``str``, with None as an empty cell."""
+    return ",".join(["" if v is None else str(v) for v in cells])
 
 
 def _json(value: object, pad: str) -> str:
@@ -223,7 +231,9 @@ def _cmd_status(args: argparse.Namespace) -> Record:
         fields=lambda: {"d": args.d, "g": args.g, "verdict": st.verdict, "source": st.source,
                         "certificate": _certificate_json(cert)},
         header=["d", "g", "verdict", "source", "n", "delta"],
-        rows=lambda: [[args.d, args.g, st.verdict, st.source or "", *_certificate_cells(cert)]],
+        rows=lambda: [
+            _csv_row([args.d, args.g, st.verdict, st.source or "", *_certificate_cells(cert)])
+        ],
         lines=lines,
     )
 
@@ -248,23 +258,21 @@ def _cmd_certify(args: argparse.Namespace) -> Record:
     return Record(
         fields=lambda: {"d": args.d, "g": args.g, "certificate": _certificate_json(cert)},
         header=["d", "g", "n", "delta"],
-        rows=lambda: [[args.d, args.g, *_certificate_cells(cert)]],
+        rows=lambda: [_csv_row([args.d, args.g, *_certificate_cells(cert)])],
         lines=lines,
     )
 
 
 def _decomposition(dec: GapDecomposition) -> Record:
-    kinds = (
-        ("proved", "proved gap", dec.proved_gaps),
-        ("unknown", "unknown", dec.unknown_candidates),
-        ("certified", "certified non-gap", dec.nongap_certified),
-    )
+    proved, unknown, certified = dec.proved_gaps, dec.unknown_candidates, dec.nongap_certified
 
     def fields() -> dict:
         return {
             "d": dec.d,
             "horizon": dec.horizon,
-            **{kind: parts.to_pairs() for kind, _, parts in kinds},
+            "proved": proved.to_pairs(),
+            "unknown": unknown.to_pairs(),
+            "certified": certified.to_pairs(),
             "sources": [
                 {"lo": part.lo, "hi": part.hi, "source": src}
                 for part, src in dec.proved_sources
@@ -273,27 +281,29 @@ def _decomposition(dec: GapDecomposition) -> Record:
 
     if dec.horizon < 0:
         return Record(
-            fields, DECOMPOSITION_HEADER, lambda: [[dec.d, "nogaps", None, None, ""]],
+            fields, DECOMPOSITION_HEADER, lambda: [_csv_row([dec.d, "nogaps", None, None, ""])],
             lambda: [f"degree {dec.d}: no gaps, every genus is a certified non-gap"],
         )
 
     tag = dict(dec.proved_sources)
 
-    def rows() -> list[list[object]]:
-        out = [
-            [dec.d, kind, part.lo, part.hi, tag.get(part, "") if kind == "proved" else ""]
-            for kind, _, parts in kinds
-            for part in parts
-        ]
-        out.sort(key=lambda r: r[2])
-        return out
+    # Each part is rendered by one %-template of its kind, the many unknown
+    # and certified parts through C-level maps.  The three sets partition
+    # [0, horizon], so no two parts share a lo and sorting by lo is total.
+    def rows() -> list[str]:
+        out = ["%d,proved,%d,%d,%s" % (dec.d, p.lo, p.hi, tag.get(p, "")) for p in proved]
+        out += map(f"{dec.d},unknown,%d,%d,".__mod__, map(_BOUNDS, unknown))
+        out += map(f"{dec.d},certified,%d,%d,".__mod__, map(_BOUNDS, certified))
+        los = [*map(_LO, proved), *map(_LO, unknown), *map(_LO, certified)]
+        return list(map(out.__getitem__, sorted(range(len(los)), key=los.__getitem__)))
 
     def lines() -> list[str]:
         out = [f"degree {dec.d}: gaps confined to [0,{dec.horizon}]"]
-        for kind, label, parts in kinds:
-            for part in parts:
-                src = f"  [{tag.get(part, '')}]" if kind == "proved" else ""
-                out.append(f"  {label:<19}{part}{src}")
+        out += [
+            "  proved gap         [%d,%d]  [%s]" % (p.lo, p.hi, tag.get(p, "")) for p in proved
+        ]
+        out += map("  unknown            [%d,%d]".__mod__, map(_BOUNDS, unknown))
+        out += map("  certified non-gap  [%d,%d]".__mod__, map(_BOUNDS, certified))
         out.append(f"every genus above {dec.horizon} is a certified non-gap")
         return out
 
@@ -321,7 +331,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Record:
     return Record(
         fields=lambda: {"d": args.d, "coarse": coarse, "refined": refined},
         header=["d", "coarse", "refined"],
-        rows=lambda: [[args.d, coarse, refined]],
+        rows=lambda: [_csv_row([args.d, coarse, refined])],
         lines=lambda: [f"degree {args.d}: coarse horizon {coarse}, refined horizon {refined}"],
     )
 
@@ -366,7 +376,9 @@ def _cmd_verify(args: argparse.Namespace) -> Record:
             "checks": [{"id": c.check_id, "ok": c.ok, "detail": c.detail} for c in checks],
         },
         header=["check_id", "ok", "detail"],
-        rows=lambda: [[c.check_id, "pass" if c.ok else "FAIL", c.detail] for c in checks],
+        rows=lambda: [
+            _csv_row([c.check_id, "pass" if c.ok else "FAIL", c.detail]) for c in checks
+        ],
         lines=lines,
         code=0 if report.ok else 1,
     )

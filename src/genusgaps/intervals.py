@@ -6,30 +6,80 @@ empty.  An ``IntervalSet`` keeps its parts sorted and *separated*
 integers always have identical part tuples regardless of construction
 order, and "number of parts" is well defined.
 
-Only the constructor (and so ``union``) sorts and merges.  ``clip`` and
-``complement_within`` build their parts in order from an already
-separated set and keep them without re-normalizing: clipping shrinks each
-part, so the gaps between the survivors only widen, and the complement's
-parts are the gaps between consecutive parts, so a nonempty part lies
-between any two of them.
+Only the constructor sorts and merges.  ``union``, ``clip`` and
+``complement_within`` build their parts in order from already separated
+sets and keep them without re-normalizing: the union merges two sorted
+part lists, clipping shrinks each part, so the gaps between the survivors
+only widen, and the complement's parts are the gaps between consecutive
+parts, so a nonempty part lies between any two of them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, order=True)
 class Interval:
+    """Immutable closed integer interval [lo, hi], ordered by ``(lo, hi)``.
+
+    A hand-written ``__slots__`` class with the behaviour of a frozen,
+    ordered dataclass: equality, hash and order compare ``(lo, hi)`` with
+    another ``Interval`` only, so ``Interval(1, 2) != (1, 2)``.  ``__init__``
+    sets the fields through the slot descriptors, since ``__setattr__``
+    refuses every assignment; ``__reduce__`` rebuilds through ``__init__``,
+    so copy and pickle work despite that refusal.
+    """
+
+    __slots__ = ("lo", "hi")
+    __match_args__ = ("lo", "hi")
+
     lo: int
     hi: int
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int, hi: int) -> None:
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return Interval, (self.lo, self.hi)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.lo == other.lo and self.hi == other.hi
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) < (other.lo, other.hi)
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) <= (other.lo, other.hi)
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) > (other.lo, other.hi)
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) >= (other.lo, other.hi)
+        return NotImplemented
 
     def __contains__(self, g: int) -> bool:
         return self.lo <= g <= self.hi
@@ -43,6 +93,10 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo},{self.hi}]"
+
+
+_set_lo = Interval.__dict__["lo"].__set__
+_set_hi = Interval.__dict__["hi"].__set__
 
 
 class IntervalSet:
@@ -71,28 +125,50 @@ class IntervalSet:
         return cls(Interval(lo, hi) for lo, hi in pairs)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet((*self.parts, *other.parts))
+        """Union of two normalized sets, merged in one pass without re-sorting.
+
+        Each part of the smaller set finds, by binary search, the parts of
+        the larger one it touches; it absorbs them and the run of larger-set
+        parts before it is copied whole.  Parts already emitted end more
+        than one below the next part placed, so the result is sorted and
+        separated, in O(m log n + n) steps for m <= n parts.
+        """
+        small, big = sorted((self.parts, other.parts), key=len)
+        out: list[Interval] = []
+        k = 0  # big[:k] is placed
+        for part in small:
+            lo, hi = part.lo, part.hi
+            if out and lo <= out[-1].hi + 1:  # touches the last part placed from small
+                last = out.pop()
+                lo, hi = last.lo, max(hi, last.hi)
+            i = bisect_left(big, lo - 1, k, key=_HI)  # big[k:i] end below lo - 1
+            out += big[k:i]
+            k = bisect_right(big, hi + 1, i, key=_LO)  # big[i:k] touch [lo, hi]
+            if i < k:
+                lo, hi = min(lo, big[i].lo), max(hi, big[k - 1].hi)
+            out.append(part if lo == part.lo and hi == part.hi else Interval(lo, hi))
+        out += big[k:]
+        return IntervalSet._separated(tuple(out))
 
     __or__ = union
 
     def complement_within(self, bound: Interval) -> "IntervalSet":
         """Integers of ``bound`` not in this set, as a normalized set.
 
-        Each part is the gap below a part of this set, or above the last
-        one, so the parts come out sorted and separated.
+        The parts are the gap below the first part that meets ``bound``,
+        the gaps between consecutive such parts (each nonempty, as the
+        parts are separated) and the gap above the last, so they come out
+        sorted and separated.
         """
-        out: list[Interval] = []
-        cursor = bound.lo
-        for part in self.parts:
-            if part.hi < bound.lo:
-                continue
-            if part.lo > bound.hi:
-                break
-            if part.lo > cursor:
-                out.append(Interval(cursor, part.lo - 1))
-            cursor = part.hi + 1  # parts ascend, so this never moves back
-        if cursor <= bound.hi:
-            out.append(Interval(cursor, bound.hi))
+        parts = self.parts
+        first = bisect_left(parts, bound.lo, key=_HI)
+        inner = parts[first:bisect_right(parts, bound.hi, first, key=_LO)]
+        if not inner:
+            return IntervalSet._separated((bound,))
+        out = [Interval(bound.lo, inner[0].lo - 1)] if inner[0].lo > bound.lo else []
+        out += [Interval(a.hi + 1, b.lo - 1) for a, b in zip(inner, inner[1:])]
+        if inner[-1].hi < bound.hi:
+            out.append(Interval(inner[-1].hi + 1, bound.hi))
         return IntervalSet._separated(tuple(out))
 
     def clip(self, bound: Interval) -> "IntervalSet":
@@ -119,7 +195,7 @@ class IntervalSet:
         return sum(p.count for p in self.parts)
 
     def to_pairs(self) -> list[list[int]]:
-        return [p.to_pair() for p in self.parts]
+        return list(map(list, map(_BOUNDS, self.parts)))
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)
@@ -137,8 +213,10 @@ class IntervalSet:
         return "{" + ",".join(map(repr, self.parts)) + "}"
 
 
-# the dataclass order, as a C-level key: no Python-level __lt__ call per comparison
+# C-level keys: the class order, and each bound, with no Python-level call per comparison
 _BOUNDS = attrgetter("lo", "hi")
+_LO = attrgetter("lo")
+_HI = attrgetter("hi")
 
 
 def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:

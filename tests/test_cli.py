@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -19,7 +20,7 @@ from test_cli_golden import GOLDEN
 from genusgaps import cases as case_mod
 from genusgaps import cli
 from genusgaps.cases import CheckResult, VerificationReport
-from genusgaps.intervals import Interval, IntervalSet
+from genusgaps.gapmap import decompose
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -136,6 +137,85 @@ class TestDecompose:
             assert rc == 0
             payload = json.loads(out)
             assert json.dumps(payload, sort_keys=True, indent=2) == out.strip()
+
+
+def _generic_decomposition(dec) -> tuple[dict, list[list[object]], list[str]]:
+    """JSON fields, CSV cells and table lines of one decomposition, built generically.
+
+    This is the renderer the per-kind templates replaced, kept as their
+    oracle: one cell list per part sorted by ``lo``, and one f-string per
+    table line through ``Interval.__repr__``.
+    """
+    kinds = (
+        ("proved", "proved gap", dec.proved_gaps),
+        ("unknown", "unknown", dec.unknown_candidates),
+        ("certified", "certified non-gap", dec.nongap_certified),
+    )
+    fields = {
+        "d": dec.d,
+        "horizon": dec.horizon,
+        **{kind: parts.to_pairs() for kind, _, parts in kinds},
+        "sources": [{"lo": p.lo, "hi": p.hi, "source": src} for p, src in dec.proved_sources],
+    }
+    if dec.horizon < 0:
+        return fields, [[dec.d, "nogaps", None, None, ""]], [
+            f"degree {dec.d}: no gaps, every genus is a certified non-gap"
+        ]
+    tag = dict(dec.proved_sources)
+    rows = [
+        [dec.d, kind, part.lo, part.hi, tag.get(part, "") if kind == "proved" else ""]
+        for kind, _, parts in kinds
+        for part in parts
+    ]
+    rows.sort(key=lambda r: r[2])
+    lines = [f"degree {dec.d}: gaps confined to [0,{dec.horizon}]"]
+    for kind, label, parts in kinds:
+        for part in parts:
+            src = f"  [{tag.get(part, '')}]" if kind == "proved" else ""
+            lines.append(f"  {label:<19}{part}{src}")
+    lines.append(f"every genus above {dec.horizon} is a certified non-gap")
+    return fields, rows, lines
+
+
+def _generic_output(command: str, degrees: range, fmt: str) -> str:
+    """What ``decompose`` (one degree) or ``table`` printed through the generic renderer."""
+    blocks = [_generic_decomposition(decompose(d)) for d in degrees]
+    if fmt == "json":
+        body = blocks[0][0] if command == "decompose" else {"rows": [b[0] for b in blocks]}
+        payload = {"schema_version": "1", "command": command, **body}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(cli.DECOMPOSITION_HEADER)] + [
+            ",".join(["" if v is None else str(v) for v in row]) for b in blocks for row in b[1]
+        ]
+    else:
+        lines = [line for b in blocks for line in b[2]]
+    return "".join(line + "\n" for line in lines)
+
+
+class TestTemplatedRows:
+    """The per-kind %-templates print what the generic renderer printed, byte for byte."""
+
+    FORMATS = ("table", "json", "csv")
+
+    def check(self, capsys, argv: list[str], degrees: range) -> None:
+        for fmt in self.FORMATS:
+            rc, out, err = run(capsys, *argv, "--format", fmt)
+            assert (rc, err) == (0, "")
+            assert out == _generic_output(argv[0], degrees, fmt), (argv, fmt)
+
+    def test_small_degrees(self, capsys):
+        for d in range(4, 81):
+            self.check(capsys, ["decompose", str(d)], range(d, d + 1))
+
+    def test_sampled_degrees(self, capsys):
+        for d in sorted(random.Random(0).sample(range(81, 10**5 + 1), 30)):
+            self.check(capsys, ["decompose", str(d)], range(d, d + 1))
+
+    @pytest.mark.parametrize("lo, hi", [(4, 9), (2000, 2003)])
+    def test_tables(self, capsys, lo, hi):
+        # table 4 9 mixes the d = 4 nogaps row with templated ones
+        self.check(capsys, ["table", str(lo), str(hi)], range(lo, hi + 1))
 
 
 class TestBounds:
@@ -324,21 +404,33 @@ class TestParserReuse:
 class TestOnlyRequestedShape:
     """``main`` builds only the shape its format prints.
 
-    Table lines print each part through ``Interval.__repr__`` and JSON
-    fields list them through ``IntervalSet.to_pairs``; CSV rows use neither.
+    Every ``Record`` the commands make, the per-degree blocks of ``table``
+    included, has its ``fields``, ``rows`` and ``lines`` builders wrapped
+    and counted; only the one the format reads may run.
     """
 
-    WANT = {"table": {"__repr__"}, "json": {"to_pairs"}, "csv": set()}
+    BUILDERS = ("fields", "rows", "lines")
+    WANT = {"table": {"lines"}, "json": {"fields"}, "csv": {"rows"}}
 
     @pytest.mark.parametrize("fmt", sorted(WANT))
     @pytest.mark.parametrize("argv", [["decompose", "50"], ["table", "20", "23"]])
     def test_other_shapes_are_not_built(self, capsys, monkeypatch, argv, fmt):
         calls: Counter = Counter()
-        for cls, name in ((Interval, "__repr__"), (IntervalSet, "to_pairs")):
-            def counting(self, _fn=getattr(cls, name), _name=name):
-                calls[_name] += 1
-                return _fn(self)
-            monkeypatch.setattr(cls, name, counting)
+        make = cli.Record
+
+        def counted(name, build):
+            def wrapper():
+                calls[name] += 1
+                return build()
+            return wrapper
+
+        def counting_record(*args, **kwargs):
+            record = make(*args, **kwargs)
+            return dataclasses.replace(
+                record, **{name: counted(name, getattr(record, name)) for name in self.BUILDERS}
+            )
+
+        monkeypatch.setattr(cli, "Record", counting_record)
         assert cli.main([*argv, "--format", fmt]) == 0
         assert capsys.readouterr().out
         assert {name for name, n in calls.items() if n} == self.WANT[fmt]

@@ -6,13 +6,16 @@ the earlier ``certify_nongap``, ``refined_horizon`` and
 cutting degree up to d and assume neither monotonicity fact.
 ``_scan_window_parts`` is the later one-pass ``_window_union_within``,
 which evaluates ``_window`` at every n, kept as the oracle of the
-forward-difference scan that replaced it.  The
+forward-difference scan that replaced it.  ``_normalized_unknown`` is the
+earlier path to the Unknown parts: the union normalized through
+``IntervalSet``'s sort-and-merge, then the cursor walk of the complement.  The
 work-count tests pin the cost of the searches by counting the formula
 calls ``gapmap`` makes, through its own imported names.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -79,6 +82,24 @@ def _scan_window_parts(d: int, horizon: int) -> IntervalSet:
     return IntervalSet._separated(tuple(parts))
 
 
+def _normalized_unknown(
+    proved: IntervalSet, certified: IntervalSet, bound: Interval
+) -> IntervalSet:
+    out = []
+    cursor = bound.lo
+    for part in IntervalSet((*proved.parts, *certified.parts)):
+        if part.hi < bound.lo:
+            continue
+        if part.lo > bound.hi:
+            break
+        if part.lo > cursor:
+            out.append(Interval(cursor, part.lo - 1))
+        cursor = part.hi + 1
+    if cursor <= bound.hi:
+        out.append(Interval(cursor, bound.hi))
+    return IntervalSet(out)
+
+
 def _draw_genus(data, d: int, region: str, dec, oracle_unknown: IntervalSet) -> int:
     """A genus in a proved gap, a window, an oracle Unknown range, or above the horizon."""
     if region == "gap":
@@ -103,8 +124,8 @@ def _decompose_against_scans(d: int):
     assert refined_horizon(d) == dec.horizon == horizon
     assert dec.nongap_certified == union
     bound = Interval(0, horizon)
-    oracle_unknown = dec.proved_gaps.union(union).complement_within(bound)
-    assert dec.unknown_candidates == oracle_unknown
+    oracle_unknown = _normalized_unknown(dec.proved_gaps, union, bound)
+    assert dec.unknown_candidates.parts == oracle_unknown.parts
     # the three sets partition [0, horizon]: they cover it and their counts add up
     sets = (dec.proved_gaps, dec.unknown_candidates, dec.nongap_certified)
     assert IntervalSet(p for s in sets for p in s) == IntervalSet((bound,))
@@ -129,6 +150,15 @@ class TestAgainstScans:
     @pytest.mark.parametrize("d", [5 * 10**4, 10**5])
     def test_matches_scans_at_workload_degrees(self, d):
         _decompose_against_scans(d)
+
+    def test_unknown_matches_the_normalized_union(self):
+        degrees = [*range(5, 201), *sorted(random.Random(0).sample(range(201, 10**5 + 1), 30))]
+        for d in degrees:
+            dec = decompose(d)
+            want = _normalized_unknown(dec.proved_gaps, dec.nongap_certified,
+                                       Interval(0, dec.horizon))
+            assert dec.unknown_candidates.parts == want.parts, d
+        assert not decompose(4).unknown_candidates  # no horizon, nothing to complement
 
     def test_window_steps_match_window_per_n(self):
         for d in [*range(5, 301), 5 * 10**4, 10**5]:

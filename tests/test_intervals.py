@@ -2,13 +2,41 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genusgaps.intervals import Interval, IntervalSet
+from genusgaps.intervals import Interval, IntervalSet, _normalize
+
+
+@dataclass(frozen=True, order=True)
+class OracleInterval:
+    """The frozen, ordered dataclass ``Interval`` was, kept as the oracle of the slots class."""
+
+    lo: int
+    hi: int
+
+    def __post_init__(self) -> None:
+        if self.lo > self.hi:
+            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+    def __contains__(self, g: int) -> bool:
+        return self.lo <= g <= self.hi
+
+    @property
+    def count(self) -> int:
+        return self.hi - self.lo + 1
+
+    def to_pair(self) -> list[int]:
+        return [self.lo, self.hi]
+
+    def __repr__(self) -> str:
+        return f"[{self.lo},{self.hi}]"
 
 
 def members(s: IntervalSet) -> set[int]:
@@ -41,6 +69,82 @@ class TestInterval:
         iv = Interval(-2, 4)
         assert 0 in iv and -2 in iv and 4 in iv and 5 not in iv
         assert iv.count == 7
+
+
+# small values make equal bounds likely, huge ones check exactness past 64 bits
+_bounds = st.integers(-5, 5) | st.integers(-10**30, 10**30)
+
+
+def _both(lo: int, hi: int):
+    """``Interval(lo, hi)`` and its oracle, or the ``ValueError`` message each raised."""
+    out = []
+    for cls in (Interval, OracleInterval):
+        try:
+            out.append(cls(lo, hi))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestIntervalAgainstDataclass:
+    """The slots ``Interval`` behaves as the frozen, ordered dataclass it replaced."""
+
+    @given(_bounds, _bounds)
+    def test_construction_and_rejection(self, lo, hi):
+        got, want = _both(lo, hi)
+        if isinstance(want, str):
+            assert got == want  # the same ValueError message
+        else:
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @given(st.lists(st.tuples(_bounds, _bounds).map(sorted), min_size=2, max_size=6), _bounds)
+    def test_equality_hash_order_and_methods(self, pairs, g):
+        ivs = [Interval(*p) for p in pairs]
+        oracles = [OracleInterval(*p) for p in pairs]
+        for x, ox in zip(ivs, oracles):
+            assert repr(x) == repr(ox)
+            assert hash(x) == hash(ox)
+            assert (g in x) == (g in ox)
+            assert x.count == ox.count
+            assert x.to_pair() == ox.to_pair()
+            assert x != (x.lo, x.hi) and not x == (x.lo, x.hi)
+            for y, oy in zip(ivs, oracles):
+                assert (x == y) == (ox == oy)
+                assert (x != y) == (ox != oy)
+                assert (x < y) == (ox < oy)
+                assert (x <= y) == (ox <= oy)
+                assert (x > y) == (ox > oy)
+                assert (x >= y) == (ox >= oy)
+        assert list(map(repr, sorted(ivs))) == list(map(repr, sorted(oracles)))
+        assert len(set(ivs)) == len(set(oracles))
+
+    @pytest.mark.parametrize("op", ["__lt__", "__le__", "__gt__", "__ge__", "__eq__"])
+    def test_other_types_are_not_compared(self, op):
+        for other in ((1, 2), [1, 2], 1, None, OracleInterval(1, 2)):
+            assert getattr(Interval(1, 2), op)(other) is NotImplemented
+        with pytest.raises(TypeError):
+            Interval(1, 2) < (1, 2)
+
+    @given(st.tuples(_bounds, _bounds).map(sorted))
+    def test_immutable(self, pair):
+        x = Interval(*pair)
+        for name in ("lo", "hi", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert [x.lo, x.hi] == pair
+
+    @given(st.tuples(_bounds, _bounds).map(sorted))
+    def test_copy_and_pickle_round_trip(self, pair):
+        x = Interval(*pair)
+        copies = [copy.copy(x), copy.deepcopy(x)]
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies += [pickle.loads(pickle.dumps(x, proto)) for proto in protocols]
+        for y in copies:
+            assert type(y) is Interval
+            assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+        assert copy.deepcopy({x: [x]}) == {x: [x]}
 
 
 class TestNormalization:
@@ -95,6 +199,16 @@ class TestAgainstOracle:
         assert s.contains(11)
         j = IntervalSet.of((7, 10), (16, 25), (27, 46), (39, 73))
         assert not j.contains(26)
+
+    # the one-pass merge against the sort-and-merge it replaced, for sets of
+    # like sizes and for a few parts placed among many short ones
+    @given(interval_sets | st.lists(pairs, max_size=3).map(IntervalSet),
+           interval_sets | st.lists(pairs.map(lambda iv: Interval(iv.lo, iv.lo + iv.hi % 3)),
+                                    max_size=60).map(IntervalSet))
+    def test_union_matches_normalizing_the_parts(self, a, b):
+        got = a.union(b)
+        assert got.parts == _normalize((*a.parts, *b.parts))
+        assert IntervalSet(got.parts) == got
 
     @given(interval_sets, interval_sets)
     def test_union_pointwise(self, a, b):
@@ -152,6 +266,7 @@ def test_randomized_family_matches_bitset(seed):
         oracles.append({g for iv in ivs for g in range(iv.lo, iv.hi + 1)})
     u = sets[0].union(sets[1])
     assert members(u) == oracles[0] | oracles[1]
+    assert u.parts == _normalize((*sets[0].parts, *sets[1].parts))
     bound = Interval(0, 100_000)
     comp = u.complement_within(bound)
     assert comp.count == 100_001 - u.count
