@@ -10,8 +10,8 @@ against every classified surface family by an exact dimension count:
 * ``dim-count`` mode: family_dim + max{g, g-1-kappa} < cut_system_dim(n, d),
   where kappa is minimized (``-kappa`` maximized) over the family's curve
   classes by exact enumeration of integer parameter points, with -kappa and
-  every constraint evaluated as linear forms whose coefficients come from
-  the Gram matrix;
+  every constraint evaluated as linear forms whose coefficients are read
+  from the Gram matrix once, when the record is built, and kept on it;
 * ``direct-dim`` mode: family_dim < threshold, for the one family whose
   kappa is too negative for the generic count.
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from operator import mul
 from pathlib import Path
@@ -104,6 +104,10 @@ class CaseRecord:
     expected_neg_kappa: tuple[int, int] = (0, 0)  # (per_d, const)
     description: str = ""
     delegated: bool = False
+    # the Gram readings of _linear_forms, set once by __post_init__
+    forms: tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         """Check every d-independent invariant; every record, parsed or built, passes here."""
@@ -152,9 +156,11 @@ class CaseRecord:
         if (self.mode == "direct-dim") != (self.threshold is not None):
             fail("threshold must accompany direct-dim mode")
         try:
-            _, k_subs, _, sub_pencils = _linear_forms(self, builtin_lattice(self.lattice))
+            forms = _linear_forms(self, builtin_lattice(self.lattice))
         except KeyError as exc:
             raise CaseDataError(f"{self.id}: {exc}") from exc
+        object.__setattr__(self, "forms", forms)
+        _, k_subs, _, sub_pencils = forms
         for c in self.constraints:
             if c.min_value < 0:
                 fail(f"negative constraint bound on {c.cls}")
@@ -305,77 +311,60 @@ def _by_id(records: tuple[CaseRecord, ...]) -> list[CaseRecord]:
     return out
 
 
-def default_cases() -> tuple[CaseRecord, ...]:
-    return load_cases(None)
-
-
 def expected_neg_kappa(record: CaseRecord, d: int) -> int:
     per_d, const = record.expected_neg_kappa
     return per_d * d + const
 
 
-def allowed_cutting_degrees(d: int, g: int) -> set[int]:
-    """Cutting degrees n >= 3 not excluded by the genus lower bound.
-
-    Degrees 1 and 2 are always excluded for g in the candidate range: their
-    realizable windows are disjoint from it.
-    """
-    if d < 6:
-        raise ValueError(f"needs d >= 6, got {d}")
-    window = candidate_gap_interval(d, 1)
-    if window is None or g not in window:
-        raise ValueError(f"g={g} is not in the candidate gap range for d={d}")
-    out = set()
-    n = 3
-    while clemens_min_genus(d, n) <= g:
-        out.add(n)
-        n += 1
-    return out
-
-
 def restricted_triples() -> tuple[tuple[int, int, int], ...]:
-    """All (d, n, g) that must be eliminated to prove the second gap range."""
+    """All (d, n, g) that must be eliminated to prove the second gap range, in order.
+
+    For each degree, n runs from 3 while the Clemens bound stays within the
+    candidate range, and g from the bound (or the range's bottom) to its top;
+    see ``_is_restricted`` for why no later n can return.
+    """
     out = []
     for d in RESTRICTED_DEGREES:
         window = candidate_gap_interval(d, 1)
-        assert window is not None
-        for g in range(window.lo, window.hi + 1):
-            for n in allowed_cutting_degrees(d, g):
-                out.append((d, n, g))
-    return tuple(sorted(out))
+        n = 3
+        while (bound := clemens_min_genus(d, n)) <= window.hi:
+            out.extend((d, n, g) for g in range(max(bound, window.lo), window.hi + 1))
+            n += 1
+    return tuple(out)
 
 
 def _is_restricted(d: int, n: int, g: int) -> bool:
     """Whether (d, n, g) is in ``restricted_triples()``, without building it.
 
-    ``allowed_cutting_degrees(d, g)`` collects n = 3, 4, ... up to the first
-    with ``clemens_min_genus(d, n) > g``.  For d >= 6 that bound,
-    n d (d-5)/2 + 2, strictly increases in n, as d(d-5) > 0, so no later n
-    passes either: the set is exactly the n >= 3 whose bound is at most g,
-    and membership is one evaluation, with no set built.
+    A triple is restricted when g lies in the candidate range between the
+    windows at n = 1 and n = 2, and n >= 3 has ``clemens_min_genus(d, n) <= g``.
+    For d >= 6 that bound, n d (d-5)/2 + 2, strictly increases in n, as
+    d(d-5) > 0: the n that pass for g are the run 3, 4, ... up to the first
+    that fails, so membership is one evaluation.  The range has
+    (d^2 - d - 20)/2 >= 5 members for d >= 6, so it is never empty.
     """
     if d not in RESTRICTED_DEGREES:
         return False
-    window = candidate_gap_interval(d, 1)
-    return window is not None and g in window and n >= 3 and clemens_min_genus(d, n) <= g
+    return g in candidate_gap_interval(d, 1) and n >= 3 and clemens_min_genus(d, n) <= g
 
 
 def _linear_forms(
     record: CaseRecord, lat: PicardLattice
-) -> tuple[int, list[int], list[int], list[list[int]]]:
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """K . base, K . sub_i, base . P_j, and sub_i . P_j as one row per parameter.
 
-    Read from the Gram matrix on every call and kept nowhere; an unknown
-    class label raises ``KeyError``.
+    Read from the Gram matrix once per record, by the ``CaseRecord``
+    constructor, which keeps them as ``forms``; an unknown class label
+    raises ``KeyError``.
     """
     base = lat.cls(record.base)
     subs = [lat.cls(p.cls) for p in record.params]
     pencils = [lat.cls(c.cls) for c in record.constraints]
     return (
         intersect(lat, lat.canonical, base),
-        [intersect(lat, lat.canonical, sub) for sub in subs],
-        [intersect(lat, base, pencil) for pencil in pencils],
-        [[intersect(lat, sub, pencil) for pencil in pencils] for sub in subs],
+        tuple(intersect(lat, lat.canonical, sub) for sub in subs),
+        tuple(intersect(lat, base, pencil) for pencil in pencils),
+        tuple(tuple(intersect(lat, sub, pencil) for pencil in pencils) for sub in subs),
     )
 
 
@@ -384,8 +373,8 @@ def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
 
     For gamma = d*base - sum(v_i * sub_i), both -kappa = -K . gamma and each
     gamma . P_j are linear in the parameters v.  Their coefficients are read
-    from the Gram matrix once per call (``_linear_forms``), and none is kept
-    between calls; the sweep enumerates a box of integer points and takes
+    from the Gram matrix once, when the record is built, and kept on it as
+    ``record.forms``; the sweep enumerates a box of integer points and takes
     the maximum over the admissible ones.
 
     The box holds every admissible point.  Parameters are >= 0 and each
@@ -398,9 +387,7 @@ def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
     checked K . sub <= 0, so raising it cannot raise -kappa: it is pinned
     at ``lo``.
     """
-    k_base, k_subs, base_pencils, sub_pencils = _linear_forms(
-        record, builtin_lattice(record.lattice)
-    )
+    k_base, k_subs, base_pencils, sub_pencils = record.forms
     # gamma . P_j >= min_j  iff  sum_i v_i * (sub_i . P_j) <= room_j
     room = [d * bp - c.min_value for bp, c in zip(base_pencils, record.constraints)]
     columns = [[row[j] for row in sub_pencils] for j in range(len(room))]
@@ -483,7 +470,7 @@ def _elimination_result(res: EliminationCheck) -> CheckResult:
 
 def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
     """Run every applicable family against every restricted triple."""
-    records = default_cases() if cases is None else cases
+    records = load_cases() if cases is None else cases
     return VerificationReport(checks=tuple(map(_elimination_result, _eliminations(records))))
 
 
@@ -554,7 +541,7 @@ def _lattice_checks() -> list[CheckResult]:
 
 def verify_kappa(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
     """Audit the lattice engine: documented kappa bounds, K^2 values, adjunction."""
-    records = default_cases() if cases is None else cases
+    records = load_cases() if cases is None else cases
     return VerificationReport(checks=tuple(_kappa_checks(records) + _lattice_checks()))
 
 
@@ -564,7 +551,7 @@ def verify_all(cases: tuple[CaseRecord, ...] | None = None) -> VerificationRepor
     The elimination's (record, d) pairs lie among the audit degrees, so the
     audit takes their -kappa from the elimination checks of this call.
     """
-    records = default_cases() if cases is None else cases
+    records = load_cases() if cases is None else cases
     eliminations = _eliminations(records)
     known = {(res.case_id, res.d): res.max_neg_kappa for res in eliminations}
     return VerificationReport(

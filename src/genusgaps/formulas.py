@@ -59,7 +59,7 @@ def cut_system_dim(n: int, d: int) -> int:
     """
     if not 1 <= n <= d:
         raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
-    return ambient_dim(d) - ambient_dim(d - n) - 1
+    return linsys_dim(n, d)
 
 
 def clemens_min_genus(d: int, n: int) -> int:

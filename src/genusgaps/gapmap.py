@@ -123,12 +123,12 @@ PROVED_LAYERS = (
 
 
 def _proved_gaps(d: int) -> tuple[tuple[Interval, str], ...]:
-    """Each proved gap range at degree d with its source, in table order."""
-    return tuple(
-        (gaps, source)
-        for source, min_d, gap_range in PROVED_LAYERS
-        if d >= min_d and (gaps := gap_range(d)) is not None
-    )
+    """Each proved gap range at degree d with its source, in table order.
+
+    None is empty from its row's least degree on: the initial range's top
+    d(d-3)/2 - 3 is >= 2 for d >= 5, and the second range never is.
+    """
+    return tuple((rng(d), source) for source, min_d, rng in PROVED_LAYERS if d >= min_d)
 
 
 def coarse_horizon(d: int) -> int:

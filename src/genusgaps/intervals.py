@@ -17,19 +17,22 @@ parts, so a nonempty part lies between any two of them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import total_ordering
 from operator import attrgetter
 from typing import Iterable, Iterator
 
 
+@total_ordering
 class Interval:
     """Immutable closed integer interval [lo, hi], ordered by ``(lo, hi)``.
 
     A hand-written ``__slots__`` class with the behaviour of a frozen,
     ordered dataclass: equality, hash and order compare ``(lo, hi)`` with
-    another ``Interval`` only, so ``Interval(1, 2) != (1, 2)``.  ``__init__``
-    sets the fields through the slot descriptors, since ``__setattr__``
-    refuses every assignment; ``__reduce__`` rebuilds through ``__init__``,
-    so copy and pickle work despite that refusal.
+    another ``Interval`` only, so ``Interval(1, 2) != (1, 2)``, and
+    ``total_ordering`` derives ``<=``, ``>`` and ``>=`` from ``<`` and ``==``.
+    ``__init__`` sets the fields through the slot descriptors, since
+    ``__setattr__`` refuses every assignment; ``__reduce__`` rebuilds through
+    ``__init__``, so copy and pickle work despite that refusal.
     """
 
     __slots__ = ("lo", "hi")
@@ -64,21 +67,6 @@ class Interval:
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return (self.lo, self.hi) < (other.lo, other.hi)
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.lo, self.hi) <= (other.lo, other.hi)
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.lo, self.hi) > (other.lo, other.hi)
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.lo, self.hi) >= (other.lo, other.hi)
         return NotImplemented
 
     def __contains__(self, g: int) -> bool:

@@ -11,7 +11,7 @@ import random
 import time
 
 from genusgaps import cli
-from genusgaps.cases import default_cases, max_neg_canonical_degree, verify_elimination
+from genusgaps.cases import load_cases, max_neg_canonical_degree, verify_elimination
 from genusgaps.formulas import arithmetic_genus, contiguity_holds
 from genusgaps.gapmap import (
     CERTIFIED_NONGAP,
@@ -121,7 +121,7 @@ def test_criterion_6_kappa_table():
         "quartic-rational-b": 22,
         "quartic-rational-c": 36,
     }
-    records = {r.id: r for r in default_cases()}
+    records = {r.id: r for r in load_cases()}
     for case_id, bound in quartic_bounds.items():
         assert max_neg_canonical_degree(records[case_id], 6) == bound, case_id
     # the projected models all reach -kappa = 36 on the 6H class

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import pickle
 from importlib import resources
 from itertools import product
 from types import SimpleNamespace
@@ -23,9 +24,7 @@ from genusgaps.cases import (
     SweepParam,
     _is_restricted,
     _linear_forms,
-    allowed_cutting_degrees,
     check_elimination,
-    default_cases,
     expected_neg_kappa,
     load_cases,
     max_neg_canonical_degree,
@@ -34,7 +33,7 @@ from genusgaps.cases import (
     verify_elimination,
     verify_kappa,
 )
-from genusgaps.formulas import arithmetic_genus, cut_system_dim
+from genusgaps.formulas import arithmetic_genus, clemens_min_genus, cut_system_dim
 from genusgaps.gapmap import candidate_gap_interval
 from genusgaps.picard import (
     BUILTINS,
@@ -87,7 +86,7 @@ DELETE = object()  # fuzz mutation: drop the key
 
 
 def by_id(case_id: str) -> CaseRecord:
-    return next(r for r in default_cases() if r.id == case_id)
+    return next(r for r in load_cases() if r.id == case_id)
 
 
 def mutation_sites(raw: dict):
@@ -99,9 +98,44 @@ def mutation_sites(raw: dict):
     yield raw["expected_neg_kappa"]
 
 
+def allowed_cutting_degrees(d: int, g: int) -> set[int]:
+    """Cutting degrees n >= 3 not excluded by the genus lower bound.
+
+    Degrees 1 and 2 are always excluded for g in the candidate range: their
+    realizable windows are disjoint from it.
+    """
+    if d < 6:
+        raise ValueError(f"needs d >= 6, got {d}")
+    window = candidate_gap_interval(d, 1)
+    if window is None or g not in window:
+        raise ValueError(f"g={g} is not in the candidate gap range for d={d}")
+    out = set()
+    n = 3
+    while clemens_min_genus(d, n) <= g:
+        out.add(n)
+        n += 1
+    return out
+
+
 class TestRestrictedTriples:
     def test_exactly_the_thirteen(self):
         assert restricted_triples() == THIRTEEN
+
+    def test_matches_the_set_building_oracle(self):
+        # the earlier enumeration: the allowed set per (d, g), then sorted
+        built = []
+        for d in case_mod.RESTRICTED_DEGREES:
+            window = candidate_gap_interval(d, 1)
+            for g in range(window.lo, window.hi + 1):
+                built.extend((d, n, g) for n in allowed_cutting_degrees(d, g))
+        assert restricted_triples() == tuple(sorted(built))
+
+    def test_guard_matches_the_enumeration(self):
+        triples = set(restricted_triples())
+        for d in range(4, 13):
+            for n in range(13):
+                for g in range(-2, 81):
+                    assert _is_restricted(d, n, g) == ((d, n, g) in triples), (d, n, g)
 
     def test_documented_members(self):
         triples = restricted_triples()
@@ -133,19 +167,65 @@ class TestAllowedCuttingDegrees:
             allowed_cutting_degrees(6, 10)
 
 
+class TestRecordForms:
+    def test_forms_are_the_gram_readings(self):
+        for record in load_cases():
+            want = _linear_forms(record, builtin_lattice(record.lattice))
+            k_base, k_subs, base_pencils, sub_pencils = record.forms
+            assert record.forms == want, record.id
+            assert type(record.forms) is tuple and type(k_base) is int, record.id
+            assert all(type(t) is tuple for t in (k_subs, base_pencils, *sub_pencils)), record.id
+
+    def test_replace_recomputes_forms(self):
+        for record in load_cases():
+            if not record.params:
+                continue
+            shorter = dataclasses.replace(record, params=record.params[:-1])
+            assert shorter.forms == _linear_forms(shorter, builtin_lattice(shorter.lattice))
+            assert shorter.forms[1] == record.forms[1][:-1], record.id
+            assert shorter.forms[3] == record.forms[3][:-1], record.id
+        record = by_id("quartic-K3")
+        with pytest.raises(ValueError):
+            dataclasses.replace(record, forms=record.forms)
+
+    def test_forms_outside_repr_eq_and_hash(self):
+        record = by_id("cubic-ii.b-ddag")
+        assert "forms" not in repr(record)
+        twin = copy.copy(record)
+        object.__setattr__(twin, "forms", None)
+        assert twin == record and hash(twin) == hash(record)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy]
+        + [lambda r, p=p: pickle.loads(pickle.dumps(r, p))
+           for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_copy_and_pickle_keep_forms(self, clone):
+        for record in load_cases():
+            twin = clone(record)
+            assert twin == record and repr(twin) == repr(record), record.id
+            assert twin.forms == record.forms, record.id
+
+    def test_forms_cannot_be_assigned(self):
+        record = by_id("quartic-K3")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.forms = record.forms
+
+
 class TestCaseTable:
     def test_record_count(self):
-        assert len(default_cases()) == 24
+        assert len(load_cases()) == 24
 
     def test_delegated_flags(self):
-        delegated = {r.id for r in default_cases() if r.delegated}
+        delegated = {r.id for r in load_cases() if r.delegated}
         assert delegated == {"cubic-ii.c-dag", "cubic-ii.c-ddag"}
 
     def test_external_file_round_trip(self, tmp_path):
         text = resources.files("genusgaps").joinpath("data/cases.json").read_text()
         path = tmp_path / "cases.json"
         path.write_text(text)
-        assert load_cases(path) == default_cases()
+        assert load_cases(path) == load_cases()
 
     def test_bad_schema_version(self, tmp_path):
         path = tmp_path / "cases.json"
@@ -499,7 +579,7 @@ class TestMaxNegKappa:
         assert max_neg_canonical_degree(by_id("quartic-elliptic-ruled-b-one"), 6) == 20
 
     @pytest.mark.parametrize(
-        "case_id", [r.id for r in default_cases() if r.n == 4]
+        "case_id", [r.id for r in load_cases() if r.n == 4]
     )
     def test_against_independent_sweep(self, case_id):
         record = by_id(case_id)
@@ -544,7 +624,7 @@ class TestMaxNegKappa:
     def test_linear_forms_match_class_arithmetic(self, data):
         # -kappa and each gamma . pencil, read off the linear forms, must equal
         # the lattice numbers of the instantiated class at any point of the box
-        record = data.draw(st.sampled_from(default_cases()), label="record")
+        record = data.draw(st.sampled_from(load_cases()), label="record")
         d = data.draw(st.integers(5, 40), label="d")
         lat = builtin_lattice(record.lattice)
         point = tuple(
@@ -569,7 +649,7 @@ def outcome(sweep, record: CaseRecord, d: int):
 
 
 class TestSweepAgainstClassSweep:
-    @pytest.mark.parametrize("case_id", sorted(r.id for r in default_cases()))
+    @pytest.mark.parametrize("case_id", sorted(r.id for r in load_cases()))
     def test_audit_and_restricted_degrees(self, case_id):
         # the audit's degrees (5..20 for cubic families, 6 for quartic ones)
         # and every restricted degree: 144 + 72 pairs over the whole table
@@ -581,7 +661,7 @@ class TestSweepAgainstClassSweep:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_redrawn_bounds(self, data):
-        record = data.draw(st.sampled_from(default_cases()), label="record")
+        record = data.draw(st.sampled_from(load_cases()), label="record")
         params = tuple(
             dataclasses.replace(
                 p, hi=data.draw(st.none() | st.integers(p.lo, p.lo + 12), label=p.label)
@@ -646,7 +726,7 @@ class TestCheckElimination:
                     assert _is_restricted(d, n, g) == set_building(d, n, g), (d, n, g)
 
     def test_multi_genus_call_matches_single_calls(self):
-        for record in default_cases():
+        for record in load_cases():
             for d in (6, 7, 8):
                 genera = tuple(g for dd, n, g in THIRTEEN if dd == d and n == record.n)
                 if not genera:
@@ -679,7 +759,7 @@ class TestCheckElimination:
     def test_quartic_sufficiency_chain(self):
         # every quartic family except the projected one keeps -kappa within 25,
         # equivalently the family bound within 39, and the count closes at 34
-        for record in default_cases():
+        for record in load_cases():
             if record.n != 4 or record.id == "quartic-rational-c":
                 continue
             neg = max_neg_canonical_degree(record, 6)
@@ -747,10 +827,11 @@ class TestVerify:
         # them and serve the audit too
         assert counts["max_neg_canonical_degree"] == 8 * 16 + 16
         assert counts["check_elimination"] == 40
-        # the Gram readings: 70 as the 24 records are constructed, 235 in the
-        # linear forms of the 144 sweeps, 21 for the lattices' K.K, and H.H
-        # and K.H for each of the 11 lattices with a surface degree
-        assert counts["intersect"] == 70 + 235 + 21 + 2 * 11
+        # the Gram readings: 70 as the 24 records are constructed, none in
+        # the 144 sweeps, which read the forms kept on the records, 21 for the
+        # lattices' K.K, and H.H and K.H for each of the 11 lattices with a
+        # surface degree
+        assert counts["intersect"] == 70 + 21 + 2 * 11
         points = 0
 
         def product(*ranges):
@@ -760,7 +841,7 @@ class TestVerify:
                 yield point
 
         monkeypatch.setattr(case_mod, "itertools", SimpleNamespace(product=product))
-        for record in default_cases():
+        for record in load_cases():
             for d in range(5, 21) if record.n == 3 else (6,):
                 max_neg_canonical_degree(record, d)
         assert points == 767  # box points at the audit degrees
@@ -914,7 +995,7 @@ class TestSharedSweeps:
         doctored = tuple(
             dataclasses.replace(r, expected_neg_kappa=(per_d, const + 1))
             if r.id == cubic.id else r
-            for r in default_cases()
+            for r in load_cases()
         )
         # the pair (cubic, 7) is swept by the elimination and reused by the audit
         assert any(c.d == 7 for c in case_mod._eliminations((cubic,)))

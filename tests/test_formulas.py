@@ -110,11 +110,11 @@ class TestCutSystemDim:
         assert 2 * cut_system_dim(3, d) == 3 * d * (d + 1)
         assert cut_system_dim(4, d) == 2 * d * d + 1
 
-    def test_matches_swapped_linsys(self):
-        # degree-d cuts of a degree-n surface form the same system either way
-        for n in range(1, 10):
-            for d in range(n, 20):
-                assert cut_system_dim(n, d) == linsys_dim(n, d)
+    def test_matches_ambient_dim_difference(self):
+        # degree-d surfaces modulo those containing the degree-n surface
+        for d in range(1, 81):
+            for n in range(1, d + 1):
+                assert cut_system_dim(n, d) == ambient_dim(d) - ambient_dim(d - n) - 1
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

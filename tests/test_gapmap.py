@@ -14,6 +14,7 @@ from genusgaps.formulas import arithmetic_genus, contiguity_holds, linsys_dim
 from genusgaps.gapmap import (
     CERTIFIED_NONGAP,
     PROVED_GAP,
+    PROVED_LAYERS,
     SOURCE_GAPS1,
     SOURCE_LOW_DEGREE,
     SOURCE_SEVERI,
@@ -220,6 +221,12 @@ class TestDecompose:
         assert d7.proved_gaps.to_pairs() == [[0, 11], [16, 26]]
         assert d7.unknown_candidates.to_pairs() == [[37, 44]]
         assert d7.horizon == 44
+
+    def test_proved_layers_never_empty(self):
+        # _proved_gaps keeps every row's range from its least degree on
+        for _, min_d, gap_range in PROVED_LAYERS:
+            for d in [*range(min_d, 501), 10**6, 10**12]:
+                assert type(gap_range(d)) is Interval, (min_d, d)
 
     def test_sources(self):
         d6 = decompose(6)
