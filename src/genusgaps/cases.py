@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from operator import mul
 from pathlib import Path
 from typing import NoReturn
 
+from ._value import Value, setters
 from .formulas import arithmetic_genus, clemens_min_genus, cut_system_dim
 from .gapmap import candidate_gap_interval
 from .picard import (
@@ -75,22 +75,51 @@ class CaseDataError(Exception):
     """The case table or a case record is malformed or inconsistent (a data-entry bug)."""
 
 
-@dataclass(frozen=True)
-class SweepParam:
+class SweepParam(Value):
+    __slots__ = __match_args__ = ("label", "cls", "lo", "hi")
+
     label: str
     cls: str
-    lo: int = 0
-    hi: int | None = None
+    lo: int
+    hi: int | None
+
+    def __init__(self, label: str, cls: str, lo: int = 0, hi: int | None = None) -> None:
+        _set_label(self, label)
+        _set_param_cls(self, cls)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
 
-@dataclass(frozen=True)
-class SweepConstraint:
+_set_label, _set_param_cls, _set_lo, _set_hi = setters(SweepParam)
+
+
+class SweepConstraint(Value):
+    __slots__ = __match_args__ = ("cls", "min_value")
+
     cls: str
     min_value: int
 
+    def __init__(self, cls: str, min_value: int) -> None:
+        _set_constraint_cls(self, cls)
+        _set_min_value(self, min_value)
 
-@dataclass(frozen=True)
-class CaseRecord:
+
+_set_constraint_cls, _set_min_value = setters(SweepConstraint)
+
+
+class CaseRecord(Value):
+    """One surface family of the case table; see the module docstring.
+
+    ``forms`` is computed by the constructor, which takes no argument for it,
+    and it stays out of ``==``, ``hash`` and ``repr``.
+    """
+
+    __match_args__ = (
+        "id", "n", "lattice", "base", "params", "constraints", "family_dim", "mode",
+        "threshold", "hilbert_component_dims", "expected_neg_kappa", "description", "delegated",
+    )
+    __slots__ = (*__match_args__, "forms")
+
     id: str
     n: int
     lattice: str
@@ -99,18 +128,44 @@ class CaseRecord:
     constraints: tuple[SweepConstraint, ...]
     family_dim: int
     mode: str
-    threshold: int | None = None
-    hilbert_component_dims: tuple[int, ...] = ()
-    expected_neg_kappa: tuple[int, int] = (0, 0)  # (per_d, const)
-    description: str = ""
-    delegated: bool = False
-    # the Gram readings of _linear_forms, set once by __post_init__
-    forms: tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    threshold: int | None
+    hilbert_component_dims: tuple[int, ...]
+    expected_neg_kappa: tuple[int, int]  # (per_d, const)
+    description: str
+    delegated: bool
+    # the Gram readings of _linear_forms, set once by the constructor
+    forms: tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        id: str,
+        n: int,
+        lattice: str,
+        base: str,
+        params: tuple[SweepParam, ...],
+        constraints: tuple[SweepConstraint, ...],
+        family_dim: int,
+        mode: str,
+        threshold: int | None = None,
+        hilbert_component_dims: tuple[int, ...] = (),
+        expected_neg_kappa: tuple[int, int] = (0, 0),
+        description: str = "",
+        delegated: bool = False,
+    ) -> None:
         """Check every d-independent invariant; every record, parsed or built, passes here."""
+        _set_id(self, id)
+        _set_n(self, n)
+        _set_lattice(self, lattice)
+        _set_base(self, base)
+        _set_params(self, params)
+        _set_constraints(self, constraints)
+        _set_family_dim(self, family_dim)
+        _set_mode(self, mode)
+        _set_threshold(self, threshold)
+        _set_hilbert_component_dims(self, hilbert_component_dims)
+        _set_expected_neg_kappa(self, expected_neg_kappa)
+        _set_description(self, description)
+        _set_delegated(self, delegated)
 
         def fail(why: str) -> NoReturn:
             raise CaseDataError(f"{self.id}: {why}")
@@ -159,7 +214,7 @@ class CaseRecord:
             forms = _linear_forms(self, builtin_lattice(self.lattice))
         except KeyError as exc:
             raise CaseDataError(f"{self.id}: {exc}") from exc
-        object.__setattr__(self, "forms", forms)
+        _set_forms(self, forms)
         _, k_subs, _, sub_pencils = forms
         for c in self.constraints:
             if c.min_value < 0:
@@ -182,8 +237,17 @@ class CaseRecord:
                      f" Hilbert data {self.hilbert_component_dims}")
 
 
-@dataclass(frozen=True)
-class EliminationCheck:
+(_set_id, _set_n, _set_lattice, _set_base, _set_params, _set_constraints, _set_family_dim,
+ _set_mode, _set_threshold, _set_hilbert_component_dims, _set_expected_neg_kappa,
+ _set_description, _set_delegated, _set_forms) = setters(CaseRecord)
+
+
+class EliminationCheck(Value):
+    __slots__ = __match_args__ = (
+        "case_id", "d", "n", "g", "mode", "family_dim", "max_neg_kappa", "v_bound", "lhs",
+        "rhs", "ok", "delegated",
+    )
+
     case_id: str
     d: int
     n: int
@@ -197,6 +261,34 @@ class EliminationCheck:
     ok: bool
     delegated: bool
 
+    def __init__(
+        self,
+        case_id: str,
+        d: int,
+        n: int,
+        g: int,
+        mode: str,
+        family_dim: int,
+        max_neg_kappa: int,
+        v_bound: int,
+        lhs: int,
+        rhs: int,
+        ok: bool,
+        delegated: bool,
+    ) -> None:
+        _set_check_case_id(self, case_id)
+        _set_check_d(self, d)
+        _set_check_n(self, n)
+        _set_check_g(self, g)
+        _set_check_mode(self, mode)
+        _set_check_family_dim(self, family_dim)
+        _set_check_max_neg_kappa(self, max_neg_kappa)
+        _set_check_v_bound(self, v_bound)
+        _set_check_lhs(self, lhs)
+        _set_check_rhs(self, rhs)
+        _set_check_ok(self, ok)
+        _set_check_delegated(self, delegated)
+
     def detail(self) -> str:
         if self.mode == "direct-dim":
             body = f"family_dim {self.lhs} < {self.rhs}"
@@ -209,20 +301,41 @@ class EliminationCheck:
         return f"{body} | -kappa <= {self.max_neg_kappa}{tag}"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+(_set_check_case_id, _set_check_d, _set_check_n, _set_check_g, _set_check_mode,
+ _set_check_family_dim, _set_check_max_neg_kappa, _set_check_v_bound, _set_check_lhs,
+ _set_check_rhs, _set_check_ok, _set_check_delegated) = setters(EliminationCheck)
+
+
+class CheckResult(Value):
+    __slots__ = __match_args__ = ("check_id", "ok", "detail")
+
     check_id: str
     ok: bool
     detail: str
 
+    def __init__(self, check_id: str, ok: bool, detail: str) -> None:
+        _set_result_check_id(self, check_id)
+        _set_result_ok(self, ok)
+        _set_result_detail(self, detail)
 
-@dataclass(frozen=True)
-class VerificationReport:
+
+_set_result_check_id, _set_result_ok, _set_result_detail = setters(CheckResult)
+
+
+class VerificationReport(Value):
+    __slots__ = __match_args__ = ("checks",)
+
     checks: tuple[CheckResult, ...]
+
+    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
+        _set_checks(self, checks)
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
+
+
+(_set_checks,) = setters(VerificationReport)
 
 
 def load_cases(path: str | Path | None = None) -> tuple[CaseRecord, ...]:

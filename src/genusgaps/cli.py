@@ -26,13 +26,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Callable
 
 from . import cases as case_mod
+from ._value import Value, setters
 from .gapmap import (
     Certificate,
     GapDecomposition,
@@ -51,8 +51,7 @@ _LO = attrgetter("lo")
 _BOUNDS = attrgetter("lo", "hi")
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(Value):
     """One command's answer: JSON fields, CSV header and rows, table lines, exit code.
 
     ``fields``, ``rows`` and ``lines`` take no arguments and build their
@@ -60,11 +59,30 @@ class Record:
     ``rows`` returns finished CSV lines, most through ``_csv_row``.
     """
 
+    __slots__ = __match_args__ = ("fields", "header", "rows", "lines", "code")
+
     fields: Callable[[], dict]
     header: list[str]
     rows: Callable[[], list[str]]
     lines: Callable[[], list[str]]
-    code: int = 0
+    code: int
+
+    def __init__(
+        self,
+        fields: Callable[[], dict],
+        header: list[str],
+        rows: Callable[[], list[str]],
+        lines: Callable[[], list[str]],
+        code: int = 0,
+    ) -> None:
+        _set_fields(self, fields)
+        _set_header(self, header)
+        _set_rows(self, rows)
+        _set_lines(self, lines)
+        _set_code(self, code)
+
+
+_set_fields, _set_header, _set_rows, _set_lines, _set_code = setters(Record)
 
 
 def entry() -> None:

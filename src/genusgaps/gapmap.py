@@ -22,8 +22,7 @@ non-gaps this tool cannot certify).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value, setters
 from .formulas import arithmetic_genus, contiguity_holds, linsys_dim
 from .intervals import Interval, IntervalSet
 
@@ -37,28 +36,51 @@ SOURCE_LOW_DEGREE = "LowDegree"
 SOURCE_SEVERI = "SeveriInterval"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Witness for a non-gap: a nodal degree-n cut with delta nodes."""
+
+    __slots__ = __match_args__ = ("n", "delta")
 
     n: int
     delta: int
 
+    def __init__(self, n: int, delta: int) -> None:
+        _set_cert_n(self, n)
+        _set_cert_delta(self, delta)
 
-@dataclass(frozen=True)
-class GapStatus:
+
+_set_cert_n, _set_cert_delta = setters(Certificate)
+
+
+class GapStatus(Value):
+    __slots__ = __match_args__ = ("verdict", "source", "certificate")
+
     verdict: str
-    source: str | None = None
-    certificate: Certificate | None = None
+    source: str | None
+    certificate: Certificate | None
+
+    def __init__(
+        self, verdict: str, source: str | None = None, certificate: Certificate | None = None
+    ) -> None:
+        _set_verdict(self, verdict)
+        _set_source(self, source)
+        _set_certificate(self, certificate)
 
 
-@dataclass(frozen=True)
-class GapDecomposition:
+_set_verdict, _set_source, _set_certificate = setters(GapStatus)
+
+
+class GapDecomposition(Value):
     """Partition of [0, horizon] into proved gaps, unknowns, and certified non-gaps.
 
     Every genus above ``horizon`` is a certified non-gap.  ``proved_sources``
     tags each proved part with the theorem layer that proves it.
     """
+
+    __slots__ = __match_args__ = (
+        "d", "horizon", "proved_gaps", "unknown_candidates", "nongap_certified",
+        "proved_sources",
+    )
 
     d: int
     horizon: int
@@ -66,6 +88,26 @@ class GapDecomposition:
     unknown_candidates: IntervalSet
     nongap_certified: IntervalSet
     proved_sources: tuple[tuple[Interval, str], ...]
+
+    def __init__(
+        self,
+        d: int,
+        horizon: int,
+        proved_gaps: IntervalSet,
+        unknown_candidates: IntervalSet,
+        nongap_certified: IntervalSet,
+        proved_sources: tuple[tuple[Interval, str], ...],
+    ) -> None:
+        _set_d(self, d)
+        _set_horizon(self, horizon)
+        _set_proved_gaps(self, proved_gaps)
+        _set_unknown_candidates(self, unknown_candidates)
+        _set_nongap_certified(self, nongap_certified)
+        _set_proved_sources(self, proved_sources)
+
+
+(_set_d, _set_horizon, _set_proved_gaps, _set_unknown_candidates, _set_nongap_certified,
+ _set_proved_sources) = setters(GapDecomposition)
 
 
 def _check_d(d: int, minimum: int) -> None:

@@ -21,22 +21,20 @@ from functools import total_ordering
 from operator import attrgetter
 from typing import Iterable, Iterator
 
+from ._value import Value, setters
+
 
 @total_ordering
-class Interval:
+class Interval(Value):
     """Immutable closed integer interval [lo, hi], ordered by ``(lo, hi)``.
 
-    A hand-written ``__slots__`` class with the behaviour of a frozen,
-    ordered dataclass: equality, hash and order compare ``(lo, hi)`` with
-    another ``Interval`` only, so ``Interval(1, 2) != (1, 2)``, and
+    A value type (see ``_value``) with the behaviour of a frozen, ordered
+    dataclass: equality, hash and order compare ``(lo, hi)`` with another
+    ``Interval`` only, so ``Interval(1, 2) != (1, 2)``, and
     ``total_ordering`` derives ``<=``, ``>`` and ``>=`` from ``<`` and ``==``.
-    ``__init__`` sets the fields through the slot descriptors, since
-    ``__setattr__`` refuses every assignment; ``__reduce__`` rebuilds through
-    ``__init__``, so copy and pickle work despite that refusal.
     """
 
-    __slots__ = ("lo", "hi")
-    __match_args__ = ("lo", "hi")
+    __slots__ = __match_args__ = ("lo", "hi")
 
     lo: int
     hi: int
@@ -46,23 +44,6 @@ class Interval:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         _set_lo(self, lo)
         _set_hi(self, hi)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return Interval, (self.lo, self.hi)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.lo == other.lo and self.hi == other.hi
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -83,8 +64,7 @@ class Interval:
         return f"[{self.lo},{self.hi}]"
 
 
-_set_lo = Interval.__dict__["lo"].__set__
-_set_hi = Interval.__dict__["hi"].__set__
+_set_lo, _set_hi = setters(Interval)
 
 
 class IntervalSet:

@@ -22,15 +22,23 @@ the surface (``degree``); the case-table audit reads both from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 
+from ._value import Value, setters
 
-@dataclass(frozen=True)
-class DivisorClass:
+# the default of ``PicardLattice.named``, replaced by a new dict in each lattice
+_FRESH_DICT: dict = {}
+
+
+class DivisorClass(Value):
     """Integer coefficient vector in a lattice basis."""
 
+    __slots__ = __match_args__ = ("coeffs",)
+
     coeffs: tuple[int, ...]
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        _set_coeffs(self, coeffs)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _match(self, other)
@@ -51,23 +59,53 @@ class DivisorClass:
         return cls((0,) * rank)
 
 
+(_set_coeffs,) = setters(DivisorClass)
+
+
 def _match(a: DivisorClass, b: DivisorClass) -> None:
     if len(a.coeffs) != len(b.coeffs):
         raise ValueError(f"rank mismatch: {len(a.coeffs)} vs {len(b.coeffs)}")
 
 
-@dataclass(frozen=True)
-class PicardLattice:
+class PicardLattice(Value):
+    """A basis, its Gram matrix, the canonical class and named classes.
+
+    Unhashable, as ``named`` is a dict; each lattice gets a fresh one by
+    default.
+    """
+
+    __slots__ = __match_args__ = (
+        "name", "basis", "gram", "canonical", "named", "description", "k2", "degree",
+    )
+
     name: str
     basis: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
     canonical: DivisorClass
-    named: dict[str, DivisorClass] = field(default_factory=dict)
-    description: str = ""
-    k2: int | None = None  # documented K.K, audited against the Gram matrix
-    degree: int | None = None  # surface degree in P^3, set where adjunction applies
+    named: dict[str, DivisorClass]
+    description: str
+    k2: int | None  # documented K.K, audited against the Gram matrix
+    degree: int | None  # surface degree in P^3, set where adjunction applies
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        basis: tuple[str, ...],
+        gram: tuple[tuple[int, ...], ...],
+        canonical: DivisorClass,
+        named: dict[str, DivisorClass] = _FRESH_DICT,
+        description: str = "",
+        k2: int | None = None,
+        degree: int | None = None,
+    ) -> None:
+        _set_name(self, name)
+        _set_basis(self, basis)
+        _set_gram(self, gram)
+        _set_canonical(self, canonical)
+        _set_named(self, {} if named is _FRESH_DICT else named)
+        _set_description(self, description)
+        _set_k2(self, k2)
+        _set_degree(self, degree)
         r = len(self.basis)
         if len(self.gram) != r or any(len(row) != r for row in self.gram):
             raise ValueError(f"{self.name}: gram must be {r}x{r}")
@@ -91,6 +129,10 @@ class PicardLattice:
             i = self.basis.index(label)
             return DivisorClass(tuple(int(i == j) for j in range(self.rank)))
         raise KeyError(f"{self.name}: no class named {label!r}")
+
+
+(_set_name, _set_basis, _set_gram, _set_canonical, _set_named, _set_description, _set_k2,
+ _set_degree) = setters(PicardLattice)
 
 
 def intersect(lat: PicardLattice, a: DivisorClass, b: DivisorClass) -> int:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import itertools
 import json
 import pickle
@@ -14,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from test_values import rebuild
 
 import genusgaps.cases as case_mod
 from genusgaps.cases import (
@@ -180,13 +180,13 @@ class TestRecordForms:
         for record in load_cases():
             if not record.params:
                 continue
-            shorter = dataclasses.replace(record, params=record.params[:-1])
+            shorter = rebuild(record, params=record.params[:-1])
             assert shorter.forms == _linear_forms(shorter, builtin_lattice(shorter.lattice))
             assert shorter.forms[1] == record.forms[1][:-1], record.id
             assert shorter.forms[3] == record.forms[3][:-1], record.id
         record = by_id("quartic-K3")
-        with pytest.raises(ValueError):
-            dataclasses.replace(record, forms=record.forms)
+        with pytest.raises(TypeError, match="forms"):
+            rebuild(record, forms=record.forms)
 
     def test_forms_outside_repr_eq_and_hash(self):
         record = by_id("cubic-ii.b-ddag")
@@ -209,7 +209,7 @@ class TestRecordForms:
 
     def test_forms_cannot_be_assigned(self):
         record = by_id("quartic-K3")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             record.forms = record.forms
 
 
@@ -359,14 +359,14 @@ class TestCaseTable:
     def test_built_record_takes_exact_types(self, case_id, field, value):
         record = by_id(case_id)
         if field in ("lo", "hi"):
-            changes = {"params": (dataclasses.replace(record.params[0], **{field: value}),)}
+            changes = {"params": (rebuild(record.params[0], **{field: value}),)}
         elif field == "min_value":
             changes = {"constraints": (SweepConstraint(cls="P", min_value=value),)}
         else:
             changes = {field: value}
         name = value if field == "id" else case_id
         with pytest.raises(CaseDataError, match=f"^{name}: "):
-            dataclasses.replace(record, **changes)
+            rebuild(record, **changes)
 
     def test_shared_label_keeps_parameters_apart(self, tmp_path):
         # labels only name parameters; the sweep must not collapse two that share one
@@ -663,13 +663,11 @@ class TestSweepAgainstClassSweep:
     def test_redrawn_bounds(self, data):
         record = data.draw(st.sampled_from(load_cases()), label="record")
         params = tuple(
-            dataclasses.replace(
-                p, hi=data.draw(st.none() | st.integers(p.lo, p.lo + 12), label=p.label)
-            )
+            rebuild(p, hi=data.draw(st.none() | st.integers(p.lo, p.lo + 12), label=p.label))
             for p in record.params
         )
         try:
-            record = dataclasses.replace(record, params=params)
+            record = rebuild(record, params=params)
         except CaseDataError:
             assume(False)
         d = data.draw(st.integers(2, 30), label="d")
@@ -931,7 +929,7 @@ def audit_outcome(audit):
 def doctor(name: str, **changes) -> tuple[PicardLattice, ...]:
     """BUILTINS with the named lattice rebuilt under ``changes``."""
     return tuple(
-        dataclasses.replace(lat, **changes) if lat.name == name else lat for lat in BUILTINS
+        rebuild(lat, **changes) if lat.name == name else lat for lat in BUILTINS
     )
 
 
@@ -993,7 +991,7 @@ class TestSharedSweeps:
         cubic = by_id("cubic-ii.b-ddag")
         per_d, const = cubic.expected_neg_kappa
         doctored = tuple(
-            dataclasses.replace(r, expected_neg_kappa=(per_d, const + 1))
+            rebuild(r, expected_neg_kappa=(per_d, const + 1))
             if r.id == cubic.id else r
             for r in load_cases()
         )

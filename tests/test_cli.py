@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import random
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli_golden import GOLDEN
+from test_values import rebuild
 
 from genusgaps import cases as case_mod
 from genusgaps import cli
@@ -426,7 +426,7 @@ class TestOnlyRequestedShape:
 
         def counting_record(*args, **kwargs):
             record = make(*args, **kwargs)
-            return dataclasses.replace(
+            return rebuild(
                 record, **{name: counted(name, getattr(record, name)) for name in self.BUILDERS}
             )
 
