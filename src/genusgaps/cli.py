@@ -10,8 +10,18 @@ command keeps its own exit code and prints no traceback.
 Each command returns one :class:`Record` and never sees ``--format``:
 the record says how to build its answer in each shape, and ``main``
 builds and renders only the requested one, then writes stdout once.
-The module holds one argparse parser, built on the first call and never
-mutated by parsing, so concurrent calls to ``main`` stay safe.
+
+``COMMANDS`` declares every subcommand once: its help, its runner and
+its positionals.  Two readers take argv from that table.  ``_plain_args``
+reads the plain shape ``<command> <positional>... [--format F]``: a list
+of str whose positionals are nonempty, start with no ``-`` and convert as
+argparse would convert them, with ``--format F`` only as the last two
+tokens.  That is the shape scripts send, and reading it skips argparse,
+whose parse and import cost more than a point query's answer.  Any other argv (help, errors, ``--format=json``, options before
+positionals, abbreviations) goes to one argparse parser built from the
+same table on first use and never mutated by parsing, so concurrent calls
+to ``main`` stay safe; for every argv that ``_plain_args`` reads, argparse
+gives the same namespace.
 
 JSON is written by the module's own emitter, ``_json``, whose output is
 byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)``:
@@ -21,7 +31,6 @@ cost more than building the record for a large decomposition.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -29,7 +38,8 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable
 
 from . import cases as case_mod
 from ._value import Value, setters
@@ -44,8 +54,14 @@ from .gapmap import (
     status,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
+    Args = SimpleNamespace | argparse.Namespace  # from _plain_args or from argparse
+
 SCHEMA_VERSION = "1"
 DECOMPOSITION_HEADER = ["d", "kind", "lo", "hi", "source"]
+FORMATS = ("table", "json", "csv")
 
 _LO = attrgetter("lo")
 _BOUNDS = attrgetter("lo", "hi")
@@ -90,12 +106,15 @@ def entry() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         record = args.run(args)
     except ValueError as exc:
@@ -112,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     return record.code
 
 
-def _render(args: argparse.Namespace, record: Record) -> str:
+def _render(args: Args, record: Record) -> str:
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **record.fields()}
         return _json(payload, "") + "\n"
@@ -175,56 +194,6 @@ def _json(value: object, pad: str) -> str:
     return json.dumps(value)
 
 
-# built on first use, not at import, so importing the module stays cheap
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="genusgaps",
-        description="Certified genus gap/non-gap structure of curves on "
-        "very general surfaces in P^3.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--format",
-            choices=("table", "json", "csv"),
-            default="table",
-            help="output format (default: table)",
-        )
-        return p
-
-    p = add("status", "verdict for a single (degree, genus) pair")
-    p.add_argument("d", type=int, help="surface degree (>= 1)")
-    p.add_argument("g", type=int, help="genus (>= 0)")
-    p.set_defaults(run=_cmd_status)
-
-    p = add("decompose", "certified gap decomposition for one degree")
-    p.add_argument("d", type=int, help="surface degree (>= 4)")
-    p.set_defaults(run=_cmd_decompose)
-
-    p = add("bounds", "coarse and refined certification horizons")
-    p.add_argument("d", type=int, help="surface degree (>= 4)")
-    p.set_defaults(run=_cmd_bounds)
-
-    p = add("table", "decompositions for a range of degrees")
-    p.add_argument("d_min", type=int)
-    p.add_argument("d_max", type=int)
-    p.set_defaults(run=_cmd_table)
-
-    p = add("certify", "smallest non-gap certificate for a (degree, genus) pair")
-    p.add_argument("d", type=int, help="surface degree (>= 4)")
-    p.add_argument("g", type=int, help="genus (>= 0)")
-    p.set_defaults(run=_cmd_certify)
-
-    p = add("verify", "re-run the mechanical proof checks")
-    p.add_argument("scope", choices=("cases", "kappa", "all"))
-    p.set_defaults(run=_cmd_verify)
-
-    return parser
-
-
 def _certificate_json(cert: Certificate | None) -> dict | None:
     return None if cert is None else {"n": cert.n, "delta": cert.delta}
 
@@ -233,7 +202,7 @@ def _certificate_cells(cert: Certificate | None) -> list[object]:
     return [None, None] if cert is None else [cert.n, cert.delta]
 
 
-def _cmd_status(args: argparse.Namespace) -> Record:
+def _cmd_status(args: Args) -> Record:
     st = status(args.d, args.g)
     cert = st.certificate
 
@@ -256,7 +225,7 @@ def _cmd_status(args: argparse.Namespace) -> Record:
     )
 
 
-def _cmd_certify(args: argparse.Namespace) -> Record:
+def _cmd_certify(args: Args) -> Record:
     _check_d(args.d, 1)  # below 1 is no surface degree at all
     if args.d < 4:
         raise ValueError(
@@ -337,12 +306,12 @@ def _check_decomposable(d: int) -> None:
         )
 
 
-def _cmd_decompose(args: argparse.Namespace) -> Record:
+def _cmd_decompose(args: Args) -> Record:
     _check_decomposable(args.d)
     return _decomposition(decompose(args.d))
 
 
-def _cmd_bounds(args: argparse.Namespace) -> Record:
+def _cmd_bounds(args: Args) -> Record:
     _check_decomposable(args.d)
     coarse = coarse_horizon(args.d)
     refined = refined_horizon(args.d) if args.d >= 5 else -1
@@ -354,7 +323,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Record:
     )
 
 
-def _cmd_table(args: argparse.Namespace) -> Record:
+def _cmd_table(args: Args) -> Record:
     if not 4 <= args.d_min <= args.d_max:
         raise ValueError(
             f"need 4 <= d_min <= d_max, got d_min={args.d_min}, d_max={args.d_max}"
@@ -369,7 +338,7 @@ def _cmd_table(args: argparse.Namespace) -> Record:
     )
 
 
-def _cmd_verify(args: argparse.Namespace) -> Record:
+def _cmd_verify(args: Args) -> Record:
     runner = {
         "cases": case_mod.verify_elimination,
         "kappa": case_mod.verify_kappa,
@@ -400,3 +369,88 @@ def _cmd_verify(args: argparse.Namespace) -> Record:
         lines=lines,
         code=0 if report.ok else 1,
     )
+
+
+# name -> (help, runner, positionals); each positional is (dest, kind, help),
+# and its kind is int or a tuple of the values it takes
+COMMANDS: dict[str, tuple[str, Callable[[Args], Record], tuple]] = {
+    "status": ("verdict for a single (degree, genus) pair", _cmd_status,
+               (("d", int, "surface degree (>= 1)"), ("g", int, "genus (>= 0)"))),
+    "decompose": ("certified gap decomposition for one degree", _cmd_decompose,
+                  (("d", int, "surface degree (>= 4)"),)),
+    "bounds": ("coarse and refined certification horizons", _cmd_bounds,
+               (("d", int, "surface degree (>= 4)"),)),
+    "table": ("decompositions for a range of degrees", _cmd_table,
+              (("d_min", int, None), ("d_max", int, None))),
+    "certify": ("smallest non-gap certificate for a (degree, genus) pair", _cmd_certify,
+                (("d", int, "surface degree (>= 4)"), ("g", int, "genus (>= 0)"))),
+    "verify": ("re-run the mechanical proof checks", _cmd_verify,
+               (("scope", ("cases", "kappa", "all"), None),)),
+}
+
+
+def _plain_args(argv: object) -> SimpleNamespace | None:
+    """The namespace argparse would give for plain argv, else None.
+
+    Plain argv is a list of str: a command of ``COMMANDS``, then exactly
+    its positionals, then optionally ``--format F`` with F in ``FORMATS``.
+    Each positional is nonempty and starts with no ``-``, so argparse too
+    reads it as a positional; an int one goes through ``int`` as
+    argparse's ``type=int`` does, and a choice must match exactly.
+    """
+    if type(argv) is not list or set(map(type, argv)) != {str}:
+        return None
+    command, *tokens = argv
+    spec = COMMANDS.get(command)
+    if spec is None:
+        return None
+    fmt = "table"
+    if len(tokens) >= 2 and tokens[-2] == "--format":
+        tokens, fmt = tokens[:-2], tokens[-1]
+        if fmt not in FORMATS:
+            return None
+    _, run, positionals = spec
+    if len(tokens) != len(positionals):
+        return None
+    values = {}
+    for token, (dest, kind, _) in zip(tokens, positionals):
+        if not token or token[0] == "-":
+            return None
+        if kind is int:
+            try:
+                values[dest] = int(token)
+            except ValueError:
+                return None
+        elif token in kind:
+            values[dest] = token
+        else:
+            return None
+    return SimpleNamespace(command=command, format=fmt, run=run, **values)
+
+
+# built on first use, not at import, so plain argv never imports argparse
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="genusgaps",
+        description="Certified genus gap/non-gap structure of curves on "
+        "very general surfaces in P^3.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, run, positionals) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(
+            "--format",
+            choices=FORMATS,
+            default="table",
+            help="output format (default: table)",
+        )
+        for dest, kind, about in positionals:
+            if kind is int:
+                p.add_argument(dest, type=int, help=about)
+            else:
+                p.add_argument(dest, choices=kind, help=about)
+        p.set_defaults(run=run)
+    return parser

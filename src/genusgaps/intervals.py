@@ -67,21 +67,27 @@ class Interval(Value):
 _set_lo, _set_hi = setters(Interval)
 
 
-class IntervalSet:
-    """Immutable normalized union of integer intervals."""
+class IntervalSet(Value):
+    """Immutable normalized union of integer intervals.
 
-    __slots__ = ("parts",)
+    A value type (see ``_value``) for assignment, deletion, copy and
+    pickle, which rebuilds through the constructor from ``parts``.
+    Equality holds with any ``IntervalSet`` of the same parts, and the
+    hash and repr are those of the parts.
+    """
+
+    __slots__ = __match_args__ = ("parts",)
 
     parts: tuple[Interval, ...]
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
-        object.__setattr__(self, "parts", _normalize(intervals))
+        _set_parts(self, _normalize(intervals))
 
     @classmethod
     def _separated(cls, parts: tuple[Interval, ...]) -> "IntervalSet":
         """The set whose parts are ``parts``, which must already be sorted and separated."""
         s = object.__new__(cls)
-        object.__setattr__(s, "parts", parts)
+        _set_parts(s, parts)
         return s
 
     @classmethod
@@ -180,6 +186,8 @@ class IntervalSet:
     def __repr__(self) -> str:
         return "{" + ",".join(map(repr, self.parts)) + "}"
 
+
+(_set_parts,) = setters(IntervalSet)
 
 # C-level keys: the class order, and each bound, with no Python-level call per comparison
 _BOUNDS = attrgetter("lo", "hi")

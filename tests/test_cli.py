@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -10,6 +12,7 @@ import subprocess
 from collections import Counter
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -384,6 +387,7 @@ class TestParserReuse:
                 assert run(capsys, *argv) == fresh[tuple(argv)], argv
 
     def test_no_parser_built_after_the_first_call(self, capsys, monkeypatch):
+        """Plain argv builds no parser; the first other argv builds it, once."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -391,14 +395,19 @@ class TestParserReuse:
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
-        cli.main(["status", "6", "13"])
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        for i in range(50):
-            cli.main([["status", "6", str(i)], ["bounds", "7"], ["frobnicate"]][i % 3])
-        assert built == []
         cli._build_parser.cache_clear()
-        cli.main(["status", "6", "13"])
-        assert len(built) == 7  # the counter sees a fresh build: the root and six subparsers
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        plain = [["status", "6", str(i)] for i in range(20)] + [  # and golden argv with no negative
+            argv.split() for argv in GOLDEN if " -" not in argv.replace(" --format", "")
+        ]
+        for argv in plain:
+            cli.main(argv)
+        assert built == []
+        cli.main(["frobnicate"])
+        assert len(built) == 7  # the root and six subparsers
+        for i in range(50):
+            cli.main([["status", "6", str(i)], ["bounds", "--format=json", "7"], ["frobnicate"]][i % 3])
+        assert len(built) == 7
 
 
 class TestOnlyRequestedShape:
@@ -487,3 +496,156 @@ class TestJsonEmitter:
         for out in outs:
             if out:
                 assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+def _oracle_parser() -> argparse.ArgumentParser:
+    """The parser written out by hand: the reference for the one ``COMMANDS`` builds."""
+    parser = argparse.ArgumentParser(
+        prog="genusgaps",
+        description="Certified genus gap/non-gap structure of curves on "
+        "very general surfaces in P^3.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("table", "json", "csv"), default="table",
+                       help="output format (default: table)")
+        return p
+
+    p = add("status", "verdict for a single (degree, genus) pair")
+    p.add_argument("d", type=int, help="surface degree (>= 1)")
+    p.add_argument("g", type=int, help="genus (>= 0)")
+    p = add("decompose", "certified gap decomposition for one degree")
+    p.add_argument("d", type=int, help="surface degree (>= 4)")
+    p = add("bounds", "coarse and refined certification horizons")
+    p.add_argument("d", type=int, help="surface degree (>= 4)")
+    p = add("table", "decompositions for a range of degrees")
+    p.add_argument("d_min", type=int)
+    p.add_argument("d_max", type=int)
+    p = add("certify", "smallest non-gap certificate for a (degree, genus) pair")
+    p.add_argument("d", type=int, help="surface degree (>= 4)")
+    p.add_argument("g", type=int, help="genus (>= 0)")
+    p = add("verify", "re-run the mechanical proof checks")
+    p.add_argument("scope", choices=("cases", "kappa", "all"))
+    return parser
+
+
+def _captured(fn, *args) -> tuple[object, str, str]:
+    """``fn(*args)`` with stdout and stderr captured: (result, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = fn(*args)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_NEAR_MISSES = ["stat", "Status", "status ", "statuss", "verif", "bound", "certif", "frobnicate",
+                "", "-h", "--help", "--", "--format", "--format=json"]
+_BIG_INTS = st.integers(-10**6, 10**6) | st.integers(-10**40, 10**40)
+# int() reads most of these; argparse takes "-1_000" for an option, as its
+# negative-number test is a regex that "-\uff17" (full-width 7) passes and "-1_000" fails
+_ODD_INTS = st.sampled_from(["1_000", "-1_000", " 7", "7 ", "\uff17", "-\uff17", "\u0663", "+5",
+                             "00", "-0", "0x10", "1e3", "7.0", "6_", "_6", " -5", "\t8\n"])
+_TOKENS = st.sampled_from(["", "-h", "--help", "--", "-", "-5", "--format=json", "--form", "--format",
+                           "json", "csv", "table", "yaml", "cases", "kappa", "all", "Cases", "x",
+                           "status", "--bogus", "6 13"])
+_FORMAT_PIECES = st.sampled_from([["--format", "json"], ["--format", "csv"], ["--format", "table"],
+                                  ["--format", "yaml"], ["--format"], ["--format=json"],
+                                  ["--form", "json"], ["--format", "--format"], ["--", "json"]])
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A command or near miss with its positionals, a few spoiled, and --format pieces.
+
+    Degrees of ``decompose`` and ``table`` stay small, so each run is quick.
+    """
+    name = draw(st.sampled_from([*cli.COMMANDS] * 3 + _NEAR_MISSES))
+    ints = st.integers(-5, 40).map(str) if name in ("decompose", "table") else _BIG_INTS.map(str)
+    if name == "verify":
+        ints = st.sampled_from(["cases", "kappa", "all", "al", "CASES", "all "])
+    token = st.integers(0, 9).flatmap(lambda k: ints if k < 7 else _ODD_INTS if k < 8 else _TOKENS)
+    arity = len(cli.COMMANDS[name][2]) if name in cli.COMMANDS else 1
+    tokens = draw(st.lists(token, min_size=arity, max_size=arity))
+    extra = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    if extra > 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(token))
+    elif extra < 0:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    for piece in draw(st.lists(_FORMAT_PIECES, max_size=2)):
+        at = len(tokens) if draw(st.booleans()) else draw(st.integers(0, len(tokens)))
+        tokens[at:at] = piece
+    return [name, *tokens]
+
+
+class TestPlainRoute:
+    """``_plain_args`` reads plain argv as argparse would, and declines the rest."""
+
+    @pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in cli.COMMANDS)])
+    def test_help_unchanged(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        want = _captured(_oracle_parser().parse_args, argv)
+        assert _captured(cli.main, argv) == want and want[0] == 0 and want[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["status", "6", "13"],
+            ["status", "6", "13", "--format", "json"],
+            ["certify", " 7", "1_000", "--format", "csv"],
+            ["decompose", "\uff17"],
+            ["bounds", "+9"],
+            ["table", "4", "9", "--format", "table"],
+            ["verify", "all"],
+        ],
+    )
+    def test_reads_plain_argv(self, argv):
+        got = cli._plain_args(argv)
+        assert got is not None
+        assert vars(got) == vars(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["status"], ["status", "6"], ["status", "6", "13", "14"], ["status", "-1", "13"],
+            ["status", "6", ""], ["status", "6", "x"], ["status", "--format", "json", "6", "13"],
+            ["status", "6", "--format", "json", "13"], ["status", "6", "13", "--format=json"],
+            ["status", "6", "13", "--form", "json"], ["status", "6", "13", "--format", "yaml"],
+            ["status", "6", "13", "--format", "json", "--format", "csv"], ["status", "6", "13", "-h"],
+            ["status", "--", "6", "13"], ["stat", "6", "13"], ["verify", "al"],
+            ["verify", "cases", "--format"], ("status", "6", "13"), ["status", 6, 13], "status 6 13",
+        ],
+    )
+    def test_declines_everything_else(self, argv):
+        assert cli._plain_args(argv) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(_argvs())
+    def test_same_as_argparse(self, argv):
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert vars(plain) == vars(cli._build_parser().parse_args(argv))
+        got = _captured(cli.main, argv)
+        with mock.patch.object(cli, "_plain_args", lambda argv: None):
+            assert _captured(cli.main, argv) == got
+        code, _, err = got
+        assert code in (0, 1, 2) and "Traceback" not in err
+
+
+def test_plain_argv_imports_no_argparse():
+    """A plain query loads neither argparse nor gettext beyond what a bare interpreter loads."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    show = "import sys; print(*sys.modules, sep='\\n', file=sys.stderr)"
+
+    def loaded(code: str) -> set[str]:
+        proc = subprocess.run([sys.executable, "-I", "-c", code],
+                              capture_output=True, text=True, check=True)
+        return set(proc.stderr.split())
+
+    query = f"import sys; sys.path.insert(0, {src!r}); from genusgaps import cli; "
+    query += "cli.main(['status', '6', '13']); "
+    added = loaded(query + show) - loaded(show)
+    assert "genusgaps.cli" in added and not {"argparse", "gettext"} & added, added

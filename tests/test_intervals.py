@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genusgaps.gapmap import decompose
 from genusgaps.intervals import Interval, IntervalSet, _normalize
 
 
@@ -145,6 +146,40 @@ class TestIntervalAgainstDataclass:
             assert type(y) is Interval
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
         assert copy.deepcopy({x: [x]}) == {x: [x]}
+
+
+class TestIntervalSetValue:
+    """An ``IntervalSet``, alone or inside a ``GapDecomposition``, is immutable and pickles."""
+
+    @given(interval_sets)
+    def test_immutable(self, s):
+        parts = s.parts
+        for name in ("parts", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, ())
+            with pytest.raises(AttributeError):
+                delattr(s, name)
+        assert s.parts is parts
+
+    @given(interval_sets)
+    def test_copy_and_pickle_round_trip(self, s):
+        copies = [copy.copy(s), copy.deepcopy(s)]
+        copies += [pickle.loads(pickle.dumps(s, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for t in copies:
+            assert type(t) is IntervalSet
+            assert t == s and t.parts == s.parts and hash(t) == hash(s) and repr(t) == repr(s)
+
+    @pytest.mark.parametrize("d", [4, 5, 9, 200])
+    def test_decomposition_is_immutable_and_pickles(self, d):
+        dec = decompose(d)
+        for part in (dec, dec.proved_gaps, dec.nongap_certified):
+            with pytest.raises(AttributeError):
+                part.parts = ()
+            with pytest.raises(AttributeError):
+                del part.d
+        for p in range(pickle.HIGHEST_PROTOCOL + 1):
+            got = pickle.loads(pickle.dumps(dec, p))
+            assert type(got) is type(dec) and got == dec and repr(got) == repr(dec)
 
 
 class TestNormalization:
