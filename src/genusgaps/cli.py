@@ -37,7 +37,6 @@ import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
@@ -62,9 +61,6 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = "1"
 DECOMPOSITION_HEADER = ["d", "kind", "lo", "hi", "source"]
 FORMATS = ("table", "json", "csv")
-
-_LO = attrgetter("lo")
-_BOUNDS = attrgetter("lo", "hi")
 
 
 class Record(Value):
@@ -275,13 +271,16 @@ def _decomposition(dec: GapDecomposition) -> Record:
     tag = dict(dec.proved_sources)
 
     # Each part is rendered by one %-template of its kind, the many unknown
-    # and certified parts through C-level maps.  The three sets partition
-    # [0, horizon], so no two parts share a lo and sorting by lo is total.
+    # and certified parts through C-level maps over their flat bounds.  The
+    # three sets partition [0, horizon], so no two parts share a lo and
+    # sorting by lo is total.
+    u, c = unknown.bounds, certified.bounds
+
     def rows() -> list[str]:
         out = ["%d,proved,%d,%d,%s" % (dec.d, p.lo, p.hi, tag.get(p, "")) for p in proved]
-        out += map(f"{dec.d},unknown,%d,%d,".__mod__, map(_BOUNDS, unknown))
-        out += map(f"{dec.d},certified,%d,%d,".__mod__, map(_BOUNDS, certified))
-        los = [*map(_LO, proved), *map(_LO, unknown), *map(_LO, certified)]
+        out += map(f"{dec.d},unknown,%d,%d,".__mod__, zip(u[0::2], u[1::2]))
+        out += map(f"{dec.d},certified,%d,%d,".__mod__, zip(c[0::2], c[1::2]))
+        los = [*proved.bounds[0::2], *u[0::2], *c[0::2]]
         return list(map(out.__getitem__, sorted(range(len(los)), key=los.__getitem__)))
 
     def lines() -> list[str]:
@@ -289,8 +288,8 @@ def _decomposition(dec: GapDecomposition) -> Record:
         out += [
             "  proved gap         [%d,%d]  [%s]" % (p.lo, p.hi, tag.get(p, "")) for p in proved
         ]
-        out += map("  unknown            [%d,%d]".__mod__, map(_BOUNDS, unknown))
-        out += map("  certified non-gap  [%d,%d]".__mod__, map(_BOUNDS, certified))
+        out += map("  unknown            [%d,%d]".__mod__, zip(u[0::2], u[1::2]))
+        out += map("  certified non-gap  [%d,%d]".__mod__, zip(c[0::2], c[1::2]))
         out.append(f"every genus above {dec.horizon} is a certified non-gap")
         return out
 

@@ -277,17 +277,17 @@ def _window_union_within(d: int, horizon: int) -> IntervalSet:
     which ``tests/test_gapmap.py`` proves for every d and n; d(2n+d-3) has
     the parity of d(d-3), which is even as d and d-3 have opposite parity.
     """
-    parts = []
+    bounds: list[int] = []
     lo, top = _window(d, 1)
     dim = top - lo
     n = 1
     while lo <= horizon:
-        parts.append(Interval(lo, top))
+        bounds += lo, top
         top += d * (2 * n + d - 3) // 2
         dim += (n + 3) * (n + 2) // 2
         lo = top - dim
         n += 1
-    return IntervalSet._separated(tuple(parts))
+    return IntervalSet._separated(tuple(bounds))
 
 
 def decompose(d: int) -> GapDecomposition:

@@ -3,22 +3,26 @@
 An ``Interval(lo, hi)`` denotes {k in Z : lo <= k <= hi} and is never
 empty.  An ``IntervalSet`` keeps its parts sorted and *separated*
 (gap of at least one integer between consecutive parts), so equal sets of
-integers always have identical part tuples regardless of construction
-order, and "number of parts" is well defined.
+integers always have identical parts regardless of construction order,
+and "number of parts" is well defined.  It stores them as one flat tuple
+of integer bounds, ``bounds = (lo0, hi0, lo1, hi1, ...)``, which never
+decreases (a one-integer part repeats its value); the ``Interval`` parts
+are built from it only when first read.
 
 Only the constructor sorts and merges.  ``union``, ``clip`` and
-``complement_within`` build their parts in order from already separated
+``complement_within`` build their bounds in order from already separated
 sets and keep them without re-normalizing: the union merges two sorted
-part lists, clipping shrinks each part, so the gaps between the survivors
-only widen, and the complement's parts are the gaps between consecutive
-parts, so a nonempty part lies between any two of them.
+part lists, clipping shrinks the end parts, so the gaps between the
+survivors only widen, and the complement's parts are the gaps between
+consecutive parts, so a nonempty part lies between any two of them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import total_ordering
-from operator import attrgetter
+from itertools import cycle
+from operator import add, attrgetter
 from typing import Iterable, Iterator
 
 from ._value import Value, setters
@@ -70,25 +74,41 @@ _set_lo, _set_hi = setters(Interval)
 class IntervalSet(Value):
     """Immutable normalized union of integer intervals.
 
+    The parts are kept as flat integer bounds, ``bounds = (lo0, hi0, lo1,
+    hi1, ...)``.  ``parts``, the tuple of ``Interval``s that the constructor
+    takes and iteration gives, is built from the bounds when first read
+    and kept in a slot of its own, outside equality, hash and repr.
     A value type (see ``_value``) for assignment, deletion, copy and
     pickle, which rebuilds through the constructor from ``parts``.
-    Equality holds with any ``IntervalSet`` of the same parts, and the
-    hash and repr are those of the parts.
+    Equality holds with any ``IntervalSet`` of the same bounds, the hash is
+    that of the bounds, and the repr lists each part as ``[lo,hi]``.
     """
 
-    __slots__ = __match_args__ = ("parts",)
+    __slots__ = ("bounds", "_parts")
+    __match_args__ = ("parts",)
 
-    parts: tuple[Interval, ...]
+    bounds: tuple[int, ...]
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
-        _set_parts(self, _normalize(intervals))
+        _set_bounds(self, _normalize(intervals))
+        _set_parts(self, None)
 
     @classmethod
-    def _separated(cls, parts: tuple[Interval, ...]) -> "IntervalSet":
-        """The set whose parts are ``parts``, which must already be sorted and separated."""
+    def _separated(cls, bounds: tuple[int, ...]) -> "IntervalSet":
+        """The set with flat ``bounds``, which must already be sorted and separated."""
         s = object.__new__(cls)
-        _set_parts(s, parts)
+        _set_bounds(s, bounds)
+        _set_parts(s, None)
         return s
+
+    @property
+    def parts(self) -> tuple[Interval, ...]:
+        parts = self._parts
+        if parts is None:
+            b = self.bounds
+            parts = tuple(map(Interval, b[0::2], b[1::2]))
+            _set_parts(self, parts)
+        return parts
 
     @classmethod
     def empty(cls) -> "IntervalSet":
@@ -107,21 +127,21 @@ class IntervalSet(Value):
         than one below the next part placed, so the result is sorted and
         separated, in O(m log n + n) steps for m <= n parts.
         """
-        small, big = sorted((self.parts, other.parts), key=len)
-        out: list[Interval] = []
-        k = 0  # big[:k] is placed
-        for part in small:
-            lo, hi = part.lo, part.hi
-            if out and lo <= out[-1].hi + 1:  # touches the last part placed from small
-                last = out.pop()
-                lo, hi = last.lo, max(hi, last.hi)
-            i = bisect_left(big, lo - 1, k, key=_HI)  # big[k:i] end below lo - 1
-            out += big[k:i]
-            k = bisect_right(big, hi + 1, i, key=_LO)  # big[i:k] touch [lo, hi]
+        small, big = sorted((self.bounds, other.bounds), key=len)
+        los, his = big[0::2], big[1::2]
+        out: list[int] = []
+        k = 0  # big's first k parts are placed
+        for lo, hi in zip(small[0::2], small[1::2]):
+            if out and lo <= out[-1] + 1:  # touches the last part placed from small
+                hi = max(hi, out.pop())
+                lo = out.pop()
+            i = bisect_left(his, lo - 1, k)  # big's parts k..i-1 end below lo - 1
+            out += big[2 * k:2 * i]
+            k = bisect_right(los, hi + 1, i)  # big's parts i..k-1 touch [lo, hi]
             if i < k:
-                lo, hi = min(lo, big[i].lo), max(hi, big[k - 1].hi)
-            out.append(part if lo == part.lo and hi == part.hi else Interval(lo, hi))
-        out += big[k:]
+                lo, hi = min(lo, los[i]), max(hi, his[k - 1])
+            out += lo, hi
+        out += big[2 * k:]
         return IntervalSet._separated(tuple(out))
 
     __or__ = union
@@ -132,75 +152,97 @@ class IntervalSet(Value):
         The parts are the gap below the first part that meets ``bound``,
         the gaps between consecutive such parts (each nonempty, as the
         parts are separated) and the gap above the last, so they come out
-        sorted and separated.
+        sorted and separated.  Their bounds are ``bound.lo``, each bound of
+        the meeting parts stepped one integer out of its part, and
+        ``bound.hi``; the end pair on a side where the meeting part covers
+        ``bound``'s end is empty and dropped.
         """
-        parts = self.parts
-        first = bisect_left(parts, bound.lo, key=_HI)
-        inner = parts[first:bisect_right(parts, bound.hi, first, key=_LO)]
+        lo, hi = bound.lo, bound.hi
+        inner = self.bounds[_meeting(self.bounds, lo, hi)]
         if not inner:
-            return IntervalSet._separated((bound,))
-        out = [Interval(bound.lo, inner[0].lo - 1)] if inner[0].lo > bound.lo else []
-        out += [Interval(a.hi + 1, b.lo - 1) for a, b in zip(inner, inner[1:])]
-        if inner[-1].hi < bound.hi:
-            out.append(Interval(inner[-1].hi + 1, bound.hi))
-        return IntervalSet._separated(tuple(out))
+            return IntervalSet._separated((lo, hi))
+        out = (lo, *map(add, inner, cycle((-1, 1))), hi)
+        return IntervalSet._separated(
+            out[2 if inner[0] <= lo else 0:-2 if inner[-1] >= hi else None]
+        )
 
     def clip(self, bound: Interval) -> "IntervalSet":
         """Restriction of this set to ``bound``.
 
-        Clipping only shrinks each part, so the parts stay sorted and separated.
+        The parts that meet ``bound`` are kept, the first and last cut to its
+        ends.  Clipping only shrinks parts, so they stay sorted and separated.
         """
-        out = []
-        for part in self.parts:
-            lo, hi = max(part.lo, bound.lo), min(part.hi, bound.hi)
-            if lo <= hi:
-                out.append(Interval(lo, hi))
+        lo, hi = bound.lo, bound.hi
+        out = list(self.bounds[_meeting(self.bounds, lo, hi)])
+        if out:
+            out[0] = max(out[0], lo)
+            out[-1] = min(out[-1], hi)
         return IntervalSet._separated(tuple(out))
 
     def contains(self, g: int) -> bool:
-        """Membership by binary search over the sorted parts."""
-        i = bisect_right(self.parts, g, key=lambda p: p.lo)
-        return i > 0 and g <= self.parts[i - 1].hi
+        """Membership by binary search over the sorted bounds.
+
+        An odd count of bounds at or below g puts g at or past a part's lo
+        and below its hi; after an even count, g is in the set only as the
+        hi of the part before.
+        """
+        b = self.bounds
+        i = bisect_right(b, g)
+        return i % 2 == 1 or (i > 0 and b[i - 1] == g)
 
     __contains__ = contains
 
     @property
     def count(self) -> int:
-        return sum(p.count for p in self.parts)
+        b = self.bounds
+        return sum(b[1::2]) - sum(b[0::2]) + len(b) // 2
 
     def to_pairs(self) -> list[list[int]]:
-        return list(map(list, map(_BOUNDS, self.parts)))
+        b = self.bounds
+        return list(map(list, zip(b[0::2], b[1::2])))
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)
 
     def __bool__(self) -> bool:
-        return bool(self.parts)
+        return bool(self.bounds)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntervalSet) and self.parts == other.parts
+        return isinstance(other, IntervalSet) and self.bounds == other.bounds
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return hash(self.bounds)
 
     def __repr__(self) -> str:
-        return "{" + ",".join(map(repr, self.parts)) + "}"
+        b = self.bounds
+        return "{" + ",".join([f"[{lo},{hi}]" for lo, hi in zip(b[0::2], b[1::2])]) + "}"
 
 
-(_set_parts,) = setters(IntervalSet)
+_set_bounds, _set_parts = setters(IntervalSet)
 
-# C-level keys: the class order, and each bound, with no Python-level call per comparison
+# each part's (lo, hi), read at C level, which sort in the class order
 _BOUNDS = attrgetter("lo", "hi")
-_LO = attrgetter("lo")
-_HI = attrgetter("hi")
 
 
-def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    merged: list[Interval] = []
-    for iv in sorted(intervals, key=_BOUNDS):
-        if merged and iv.lo <= merged[-1].hi + 1:
-            if iv.hi > merged[-1].hi:
-                merged[-1] = Interval(merged[-1].lo, iv.hi)
+def _meeting(bounds: tuple[int, ...], lo: int, hi: int) -> slice:
+    """The slice of flat ``bounds`` that holds the parts meeting [lo, hi].
+
+    The count of bounds below lo is odd when lo falls inside a part, whose
+    own lo is the bound before; the count of bounds at or below hi is odd
+    when hi falls inside a part, whose own hi is the bound after.
+    """
+    start = bisect_left(bounds, lo)
+    end = bisect_right(bounds, hi, start)
+    return slice(start - start % 2, end + end % 2)
+
+
+def _normalize(intervals: Iterable[Interval]) -> tuple[int, ...]:
+    """Flat bounds of the union of ``intervals``, sorted, with touching parts merged."""
+    merged: list[int] = []
+    for lo, hi in sorted(map(_BOUNDS, intervals)):
+        if merged and lo <= merged[-1] + 1:
+            if hi > merged[-1]:
+                merged[-1] = hi
         else:
-            merged.append(iv)
+            merged += lo, hi
     return tuple(merged)

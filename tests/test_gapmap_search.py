@@ -79,7 +79,7 @@ def _scan_window_parts(d: int, horizon: int) -> IntervalSet:
     while (w := gapmap._window(d, n))[0] <= horizon:
         parts.append(Interval(*w))
         n += 1
-    return IntervalSet._separated(tuple(parts))
+    return IntervalSet(parts)
 
 
 def _normalized_unknown(

@@ -5,12 +5,17 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genusgaps import cli
+from genusgaps._value import Value, setters
 from genusgaps.gapmap import decompose
 from genusgaps.intervals import Interval, IntervalSet, _normalize
 
@@ -38,6 +43,148 @@ class OracleInterval:
 
     def __repr__(self) -> str:
         return f"[{self.lo},{self.hi}]"
+
+
+class OracleIntervalSet(Value):
+    """Immutable normalized union of integer intervals.
+
+    The ``IntervalSet`` that held a tuple of ``Interval`` parts, kept verbatim
+    but for its names as the oracle of the class that holds flat bounds.
+
+    A value type (see ``_value``) for assignment, deletion, copy and
+    pickle, which rebuilds through the constructor from ``parts``.
+    Equality holds with any ``OracleIntervalSet`` of the same parts, and the
+    hash and repr are those of the parts.
+    """
+
+    __slots__ = __match_args__ = ("parts",)
+
+    parts: tuple[Interval, ...]
+
+    def __init__(self, intervals: Iterable[Interval] = ()) -> None:
+        _set_oracle_parts(self, _oracle_normalize(intervals))
+
+    @classmethod
+    def _separated(cls, parts: tuple[Interval, ...]) -> "OracleIntervalSet":
+        """The set whose parts are ``parts``, which must already be sorted and separated."""
+        s = object.__new__(cls)
+        _set_oracle_parts(s, parts)
+        return s
+
+    @classmethod
+    def empty(cls) -> "OracleIntervalSet":
+        return cls(())
+
+    @classmethod
+    def of(cls, *pairs: tuple[int, int]) -> "OracleIntervalSet":
+        return cls(Interval(lo, hi) for lo, hi in pairs)
+
+    def union(self, other: "OracleIntervalSet") -> "OracleIntervalSet":
+        """Union of two normalized sets, merged in one pass without re-sorting.
+
+        Each part of the smaller set finds, by binary search, the parts of
+        the larger one it touches; it absorbs them and the run of larger-set
+        parts before it is copied whole.  Parts already emitted end more
+        than one below the next part placed, so the result is sorted and
+        separated, in O(m log n + n) steps for m <= n parts.
+        """
+        small, big = sorted((self.parts, other.parts), key=len)
+        out: list[Interval] = []
+        k = 0  # big[:k] is placed
+        for part in small:
+            lo, hi = part.lo, part.hi
+            if out and lo <= out[-1].hi + 1:  # touches the last part placed from small
+                last = out.pop()
+                lo, hi = last.lo, max(hi, last.hi)
+            i = bisect_left(big, lo - 1, k, key=_ORACLE_HI)  # big[k:i] end below lo - 1
+            out += big[k:i]
+            k = bisect_right(big, hi + 1, i, key=_ORACLE_LO)  # big[i:k] touch [lo, hi]
+            if i < k:
+                lo, hi = min(lo, big[i].lo), max(hi, big[k - 1].hi)
+            out.append(part if lo == part.lo and hi == part.hi else Interval(lo, hi))
+        out += big[k:]
+        return OracleIntervalSet._separated(tuple(out))
+
+    __or__ = union
+
+    def complement_within(self, bound: Interval) -> "OracleIntervalSet":
+        """Integers of ``bound`` not in this set, as a normalized set.
+
+        The parts are the gap below the first part that meets ``bound``,
+        the gaps between consecutive such parts (each nonempty, as the
+        parts are separated) and the gap above the last, so they come out
+        sorted and separated.
+        """
+        parts = self.parts
+        first = bisect_left(parts, bound.lo, key=_ORACLE_HI)
+        inner = parts[first:bisect_right(parts, bound.hi, first, key=_ORACLE_LO)]
+        if not inner:
+            return OracleIntervalSet._separated((bound,))
+        out = [Interval(bound.lo, inner[0].lo - 1)] if inner[0].lo > bound.lo else []
+        out += [Interval(a.hi + 1, b.lo - 1) for a, b in zip(inner, inner[1:])]
+        if inner[-1].hi < bound.hi:
+            out.append(Interval(inner[-1].hi + 1, bound.hi))
+        return OracleIntervalSet._separated(tuple(out))
+
+    def clip(self, bound: Interval) -> "OracleIntervalSet":
+        """Restriction of this set to ``bound``.
+
+        Clipping only shrinks each part, so the parts stay sorted and separated.
+        """
+        out = []
+        for part in self.parts:
+            lo, hi = max(part.lo, bound.lo), min(part.hi, bound.hi)
+            if lo <= hi:
+                out.append(Interval(lo, hi))
+        return OracleIntervalSet._separated(tuple(out))
+
+    def contains(self, g: int) -> bool:
+        """Membership by binary search over the sorted parts."""
+        i = bisect_right(self.parts, g, key=lambda p: p.lo)
+        return i > 0 and g <= self.parts[i - 1].hi
+
+    __contains__ = contains
+
+    @property
+    def count(self) -> int:
+        return sum(p.count for p in self.parts)
+
+    def to_pairs(self) -> list[list[int]]:
+        return list(map(list, map(_ORACLE_BOUNDS, self.parts)))
+
+    def __iter__(self) -> Iterator[Interval]:
+        return iter(self.parts)
+
+    def __bool__(self) -> bool:
+        return bool(self.parts)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, OracleIntervalSet) and self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return "{" + ",".join(map(repr, self.parts)) + "}"
+
+
+(_set_oracle_parts,) = setters(OracleIntervalSet)
+
+# C-level keys: the class order, and each bound, with no Python-level call per comparison
+_ORACLE_BOUNDS = attrgetter("lo", "hi")
+_ORACLE_LO = attrgetter("lo")
+_ORACLE_HI = attrgetter("hi")
+
+
+def _oracle_normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
+    merged: list[Interval] = []
+    for iv in sorted(intervals, key=_ORACLE_BOUNDS):
+        if merged and iv.lo <= merged[-1].hi + 1:
+            if iv.hi > merged[-1].hi:
+                merged[-1] = Interval(merged[-1].lo, iv.hi)
+        else:
+            merged.append(iv)
+    return tuple(merged)
 
 
 def members(s: IntervalSet) -> set[int]:
@@ -182,6 +329,146 @@ class TestIntervalSetValue:
             assert type(got) is type(dec) and got == dec and repr(got) == repr(dec)
 
 
+# ends near 0 and near +-10^30 make touching, overlapping and one-integer
+# parts likely, and check exactness past 64 bits; one-integer parts repeat a
+# value in ``bounds``, the edge case of every binary search over them
+_set_ends = st.builds(
+    int.__add__, st.sampled_from((0, 10**30, -10**30)), st.integers(-6, 6)
+) | st.integers(-10**30, 10**30)
+_set_pairs = st.tuples(_set_ends, _set_ends).map(sorted) | _set_ends.map(lambda g: [g, g])
+_part_lists = st.lists(_set_pairs, max_size=8)
+
+
+def _both_sets(pairs: list[list[int]]) -> tuple[IntervalSet, OracleIntervalSet]:
+    ivs = [Interval(*p) for p in pairs]
+    return IntervalSet(ivs), OracleIntervalSet(ivs)
+
+
+def _same(got: IntervalSet, want: OracleIntervalSet) -> None:
+    """``got`` holds the parts of ``want`` and reads them back as it does."""
+    assert type(got) is IntervalSet
+    assert got.bounds == tuple(b for part in want.parts for b in (part.lo, part.hi))
+    assert got.parts == want.parts and list(got) == list(want)
+    assert all(type(part) is Interval for part in got)
+    assert got.to_pairs() == want.to_pairs()
+    assert got.count == want.count
+    assert repr(got) == repr(want)
+    assert bool(got) is bool(want)
+
+
+class TestIntervalSetAgainstOracle:
+    """The flat-bounds ``IntervalSet`` behaves as the tuple-of-parts class it replaced."""
+
+    @given(_part_lists, _set_ends)
+    def test_construction_readers_and_contains(self, pairs, g):
+        got, want = _both_sets(pairs)
+        _same(got, want)
+        probes = {g} | {end + step for part in want for end in part.to_pair() for step in (-1, 0, 1)}
+        for h in probes:
+            assert got.contains(h) is want.contains(h)
+            assert (h in got) is (h in want)
+
+    @given(_part_lists, _part_lists)
+    def test_union(self, a, b):
+        (x, ox), (y, oy) = _both_sets(a), _both_sets(b)
+        _same(x.union(y), ox.union(oy))
+        _same(y | x, oy | ox)
+
+    @given(_part_lists, _set_pairs)
+    def test_clip_and_complement(self, pairs, bound):
+        got, want = _both_sets(pairs)
+        iv = Interval(*bound)
+        _same(got.clip(iv), want.clip(iv))
+        _same(got.complement_within(iv), want.complement_within(iv))
+        _same(got.clip(iv).complement_within(iv), want.clip(iv).complement_within(iv))
+
+    @given(_part_lists, _part_lists)
+    def test_equality_and_hash(self, a, b):
+        (x, ox), (y, oy) = _both_sets(a), _both_sets(b)
+        assert (x == y) is (ox == oy)
+        assert (x != y) is (ox != oy)
+        if x == y:
+            assert hash(x) == hash(y)
+        assert x == IntervalSet(x.parts) and hash(x) == hash(IntervalSet(x.parts))
+        for other in (ox, x.parts, x.bounds, list(x.parts), None):
+            assert x != other and not x == other
+
+    @given(_part_lists)
+    def test_copy_and_pickle_round_trip(self, pairs):
+        got, want = _both_sets(pairs)
+        copies = [copy.copy(got), copy.deepcopy(got)]
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies += [pickle.loads(pickle.dumps(got, p)) for p in protocols]
+        for t in copies:
+            _same(t, want)
+            assert t == got and hash(t) == hash(got)
+        assert copy.deepcopy({got: [got]}) == {got: [got]}
+
+    @given(_part_lists)
+    def test_immutable_and_matched_by_parts(self, pairs):
+        got, want = _both_sets(pairs)
+        parts = got.parts
+        for name in ("parts", "bounds", "_parts", "other"):
+            with pytest.raises(AttributeError):
+                setattr(got, name, ())
+            with pytest.raises(AttributeError):
+                delattr(got, name)
+        assert got.parts is parts
+        assert IntervalSet.__match_args__ == OracleIntervalSet.__match_args__ == ("parts",)
+        match got:
+            case IntervalSet(matched):
+                assert matched is parts
+
+    @pytest.mark.parametrize("d", [*range(5, 40), 6000, 50000])
+    def test_decomposition_matches_oracle_algebra(self, d):
+        dec = decompose(d)
+        bound = Interval(0, dec.horizon)
+        proved = OracleIntervalSet(part for part, _ in dec.proved_sources).clip(bound)
+        certified = OracleIntervalSet(dec.nongap_certified.parts)
+        _same(dec.proved_gaps, proved)
+        _same(dec.nongap_certified, certified)
+        _same(dec.unknown_candidates, proved.union(certified).complement_within(bound))
+
+    def test_single_genus_unknown_part(self):
+        unknown = decompose(6).unknown_candidates
+        assert unknown.bounds == (26, 26) and unknown.parts == (Interval(26, 26),)
+        assert 26 in unknown and 25 not in unknown and 27 not in unknown
+        assert unknown.count == 1
+
+
+class TestIntervalWorkCounts:
+    """``decompose`` and its three renderings build a few ``Interval``s, none per part."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        real = Interval.__init__
+
+        def counted(self, lo, hi):
+            calls.append((lo, hi))
+            real(self, lo, hi)
+
+        monkeypatch.setattr(Interval, "__init__", counted)
+        return calls
+
+    def test_decompose(self, built):
+        dec = decompose(50000)
+        parts = [len(s.bounds) // 2 for s in (dec.proved_gaps, dec.unknown_candidates,
+                                              dec.nongap_certified)]
+        assert parts == [2, 2004, 2005]
+        # the window refined_horizon reads, the bound [0, horizon] and the two
+        # proved ranges; the window, unknown and proved parts are flat bounds
+        assert len(built) == 4
+
+    # the proved rows and lines read the two proved parts as Intervals, to
+    # find each one's source; JSON reads the sources as decompose made them
+    @pytest.mark.parametrize("fmt, count", [("table", 4 + 2), ("json", 4), ("csv", 4 + 2)])
+    def test_cli_decompose(self, built, capsys, fmt, count):
+        assert cli.main(["decompose", "50000", "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        assert len(built) == count
+
+
 class TestNormalization:
     def test_adjacent_merge(self):
         assert IntervalSet.of((7, 10)).union(IntervalSet.of((11, 15))) == IntervalSet.of((7, 15))
@@ -242,7 +529,7 @@ class TestAgainstOracle:
                                     max_size=60).map(IntervalSet))
     def test_union_matches_normalizing_the_parts(self, a, b):
         got = a.union(b)
-        assert got.parts == _normalize((*a.parts, *b.parts))
+        assert got.bounds == _normalize((*a.parts, *b.parts))
         assert IntervalSet(got.parts) == got
 
     @given(interval_sets, interval_sets)
@@ -301,7 +588,7 @@ def test_randomized_family_matches_bitset(seed):
         oracles.append({g for iv in ivs for g in range(iv.lo, iv.hi + 1)})
     u = sets[0].union(sets[1])
     assert members(u) == oracles[0] | oracles[1]
-    assert u.parts == _normalize((*sets[0].parts, *sets[1].parts))
+    assert u.bounds == _normalize((*sets[0].parts, *sets[1].parts))
     bound = Interval(0, 100_000)
     comp = u.complement_within(bound)
     assert comp.count == 100_001 - u.count
