@@ -29,7 +29,6 @@ from .picard import (
     adjunction_genus,
     builtin_lattice,
     canonical_degree,
-    export_lattices,
     family_dim_bound,
     intersect,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "adjunction_genus",
     "builtin_lattice",
     "canonical_degree",
-    "export_lattices",
     "family_dim_bound",
     "intersect",
 ]

@@ -113,11 +113,13 @@ def main(argv: list[str] | None = None) -> int:
             return code if isinstance(code, int) else 2
     try:
         record = args.run(args)
+        # rendering raises ValueError too: an int beyond sys.get_int_max_str_digits()
+        out = _render(args, record)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        sys.stdout.write(_render(args, record))
+        sys.stdout.write(out)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so the flush at exit cannot fail

@@ -306,9 +306,9 @@ def decompose(d: int) -> GapDecomposition:
         return GapDecomposition(
             d=4,
             horizon=-1,
-            proved_gaps=IntervalSet.empty(),
-            unknown_candidates=IntervalSet.empty(),
-            nongap_certified=IntervalSet.empty(),
+            proved_gaps=IntervalSet(),
+            unknown_candidates=IntervalSet(),
+            nongap_certified=IntervalSet(),
             proved_sources=(),
         )
     horizon = refined_horizon(d)

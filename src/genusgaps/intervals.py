@@ -61,9 +61,6 @@ class Interval(Value):
     def count(self) -> int:
         return self.hi - self.lo + 1
 
-    def to_pair(self) -> list[int]:
-        return [self.lo, self.hi]
-
     def __repr__(self) -> str:
         return f"[{self.lo},{self.hi}]"
 
@@ -110,41 +107,33 @@ class IntervalSet(Value):
             _set_parts(self, parts)
         return parts
 
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    @classmethod
-    def of(cls, *pairs: tuple[int, int]) -> "IntervalSet":
-        return cls(Interval(lo, hi) for lo, hi in pairs)
-
     def union(self, other: "IntervalSet") -> "IntervalSet":
         """Union of two normalized sets, merged in one pass without re-sorting.
 
-        Each part of the smaller set finds, by binary search, the parts of
-        the larger one it touches; it absorbs them and the run of larger-set
-        parts before it is copied whole.  Parts already emitted end more
-        than one below the next part placed, so the result is sorted and
-        separated, in O(m log n + n) steps for m <= n parts.
+        Each part of the smaller set takes, through ``_meeting``, the run of
+        parts of the larger one that touch it and absorbs them; the parts of
+        the larger set between the previous run and this one are copied
+        whole.  A part that touches the last part placed merges with it and
+        takes that part's run again, so nothing is copied twice.  Parts
+        already emitted end more than one below the next part placed, so the
+        result is sorted and separated, in O(m log n + n) steps for m <= n
+        parts.
         """
         small, big = sorted((self.bounds, other.bounds), key=len)
-        los, his = big[0::2], big[1::2]
         out: list[int] = []
-        k = 0  # big's first k parts are placed
+        k = 0  # big[:k] is placed
         for lo, hi in zip(small[0::2], small[1::2]):
             if out and lo <= out[-1] + 1:  # touches the last part placed from small
                 hi = max(hi, out.pop())
                 lo = out.pop()
-            i = bisect_left(his, lo - 1, k)  # big's parts k..i-1 end below lo - 1
-            out += big[2 * k:2 * i]
-            k = bisect_right(los, hi + 1, i)  # big's parts i..k-1 touch [lo, hi]
-            if i < k:
-                lo, hi = min(lo, los[i]), max(hi, his[k - 1])
+            run = _meeting(big, lo - 1, hi + 1)
+            out += big[k:run.start]
+            if run.start < run.stop:
+                lo, hi = min(lo, big[run.start]), max(hi, big[run.stop - 1])
             out += lo, hi
-        out += big[2 * k:]
+            k = run.stop
+        out += big[k:]
         return IntervalSet._separated(tuple(out))
-
-    __or__ = union
 
     def complement_within(self, bound: Interval) -> "IntervalSet":
         """Integers of ``bound`` not in this set, as a normalized set.
@@ -179,7 +168,7 @@ class IntervalSet(Value):
             out[-1] = min(out[-1], hi)
         return IntervalSet._separated(tuple(out))
 
-    def contains(self, g: int) -> bool:
+    def __contains__(self, g: int) -> bool:
         """Membership by binary search over the sorted bounds.
 
         An odd count of bounds at or below g puts g at or past a part's lo
@@ -189,8 +178,6 @@ class IntervalSet(Value):
         b = self.bounds
         i = bisect_right(b, g)
         return i % 2 == 1 or (i > 0 and b[i - 1] == g)
-
-    __contains__ = contains
 
     @property
     def count(self) -> int:

@@ -51,13 +51,6 @@ class DivisorClass(Value):
     def __rmul__(self, k: int) -> "DivisorClass":
         return DivisorClass(tuple(k * a for a in self.coeffs))
 
-    def __neg__(self) -> "DivisorClass":
-        return -1 * self
-
-    @classmethod
-    def zero(cls, rank: int) -> "DivisorClass":
-        return cls((0,) * rank)
-
 
 (_set_coeffs,) = setters(DivisorClass)
 
@@ -456,26 +449,3 @@ def builtin_lattice(name: str) -> PicardLattice:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown lattice {name!r}") from None
-
-
-def builtin_names() -> list[str]:
-    """Names of every built-in lattice instance the case table can refer to."""
-    return sorted(_REGISTRY)
-
-
-def export_lattices(names: list[str] | None = None) -> dict:
-    """Audit table of built-in lattices as plain JSON-able data."""
-    rows = []
-    for name in names if names is not None else builtin_names():
-        lat = builtin_lattice(name)
-        rows.append(
-            {
-                "name": lat.name,
-                "basis": list(lat.basis),
-                "gram": [list(row) for row in lat.gram],
-                "canonical": list(lat.canonical.coeffs),
-                "named": {k: list(v.coeffs) for k, v in sorted(lat.named.items())},
-                "description": lat.description,
-            }
-        )
-    return {"schema_version": "1", "lattices": rows}

@@ -232,6 +232,20 @@ class TestBounds:
         assert rc == 0
         assert out.strip().splitlines()[1] == "4,-1,-1"
 
+    def test_answer_over_the_int_digit_limit_is_a_usage_error(self, capsys):
+        # the degree parses, but its horizons have more digits than str(int) may write
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # from 3.10.7 and 3.11
+        if not limit:
+            pytest.skip("int to str conversion has no digit limit in this interpreter")
+        d = "7" * -(-limit // 2)
+        for fmt in cli.FORMATS:
+            rc, out, err = run(capsys, "bounds", d, "--format", fmt)
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        proc = run_proc("bounds", d)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
 
 class TestTable:
     def test_csv_sorted(self, capsys):

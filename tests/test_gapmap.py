@@ -199,11 +199,11 @@ def assert_consistent(d: int, g: int, dec=None) -> None:
         assert st.verdict == CERTIFIED_NONGAP, (d, g)
         return
     if st.verdict == PROVED_GAP:
-        assert dec.proved_gaps.contains(g), (d, g)
+        assert g in dec.proved_gaps, (d, g)
     elif st.verdict == CERTIFIED_NONGAP:
-        assert dec.nongap_certified.contains(g), (d, g)
+        assert g in dec.nongap_certified, (d, g)
     else:
-        assert dec.unknown_candidates.contains(g), (d, g)
+        assert g in dec.unknown_candidates, (d, g)
 
 
 class TestDecompose:

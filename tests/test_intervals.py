@@ -187,6 +187,10 @@ def _oracle_normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
     return tuple(merged)
 
 
+def of(*pairs: tuple[int, int]) -> IntervalSet:
+    return IntervalSet(Interval(lo, hi) for lo, hi in pairs)
+
+
 def members(s: IntervalSet) -> set[int]:
     return {g for part in s.parts for g in range(part.lo, part.hi + 1)}
 
@@ -254,7 +258,7 @@ class TestIntervalAgainstDataclass:
             assert hash(x) == hash(ox)
             assert (g in x) == (g in ox)
             assert x.count == ox.count
-            assert x.to_pair() == ox.to_pair()
+            assert [x.lo, x.hi] == ox.to_pair()
             assert x != (x.lo, x.hi) and not x == (x.lo, x.hi)
             for y, oy in zip(ivs, oracles):
                 assert (x == y) == (ox == oy)
@@ -363,16 +367,15 @@ class TestIntervalSetAgainstOracle:
     def test_construction_readers_and_contains(self, pairs, g):
         got, want = _both_sets(pairs)
         _same(got, want)
-        probes = {g} | {end + step for part in want for end in part.to_pair() for step in (-1, 0, 1)}
+        probes = {g} | {end + step for part in want for end in (part.lo, part.hi) for step in (-1, 0, 1)}
         for h in probes:
-            assert got.contains(h) is want.contains(h)
             assert (h in got) is (h in want)
 
     @given(_part_lists, _part_lists)
     def test_union(self, a, b):
         (x, ox), (y, oy) = _both_sets(a), _both_sets(b)
         _same(x.union(y), ox.union(oy))
-        _same(y | x, oy | ox)
+        _same(y.union(x), oy.union(ox))
 
     @given(_part_lists, _set_pairs)
     def test_clip_and_complement(self, pairs, bound):
@@ -471,16 +474,16 @@ class TestIntervalWorkCounts:
 
 class TestNormalization:
     def test_adjacent_merge(self):
-        assert IntervalSet.of((7, 10)).union(IntervalSet.of((11, 15))) == IntervalSet.of((7, 15))
+        assert of((7, 10)).union(of((11, 15))) == of((7, 15))
 
     def test_union_identity(self):
-        assert IntervalSet.of((7, 10)).union(IntervalSet.empty()) == IntervalSet.of((7, 10))
+        assert of((7, 10)).union(IntervalSet()) == of((7, 10))
 
     def test_overlap_merge(self):
-        assert IntervalSet.of((0, 5), (3, 9), (11, 12)) == IntervalSet.of((0, 9), (11, 12))
+        assert of((0, 5), (3, 9), (11, 12)) == of((0, 9), (11, 12))
 
     def test_separated_parts_stay_separated(self):
-        s = IntervalSet.of((0, 1), (3, 4))
+        s = of((0, 1), (3, 4))
         assert s.to_pairs() == [[0, 1], [3, 4]]
 
     @given(interval_sets)
@@ -505,22 +508,22 @@ class TestNormalization:
 class TestAgainstOracle:
     def test_documented_union(self):
         # realizable windows at degree 6, cutting degrees 1..4
-        j = IntervalSet.of((7, 10), (16, 25), (27, 46), (39, 73))
+        j = of((7, 10), (16, 25), (27, 46), (39, 73))
         assert j.to_pairs() == [[7, 10], [16, 25], [27, 73]]
 
     def test_documented_complement(self):
-        s = IntervalSet.of((0, 6), (11, 15))
+        s = of((0, 6), (11, 15))
         assert s.complement_within(Interval(0, 20)).to_pairs() == [[7, 10], [16, 20]]
-        assert IntervalSet.empty().complement_within(Interval(0, 5)).to_pairs() == [[0, 5]]
-        j = IntervalSet.of((7, 10), (16, 25), (27, 46), (39, 73))
+        assert IntervalSet().complement_within(Interval(0, 5)).to_pairs() == [[0, 5]]
+        j = of((7, 10), (16, 25), (27, 46), (39, 73))
         assert j.complement_within(Interval(0, 26)).to_pairs() == [[0, 6], [11, 15], [26, 26]]
 
     def test_documented_contains(self):
-        s = IntervalSet.of((0, 6), (11, 15))
-        assert not s.contains(10)
-        assert s.contains(11)
-        j = IntervalSet.of((7, 10), (16, 25), (27, 46), (39, 73))
-        assert not j.contains(26)
+        s = of((0, 6), (11, 15))
+        assert 10 not in s
+        assert 11 in s
+        j = of((7, 10), (16, 25), (27, 46), (39, 73))
+        assert 26 not in j
 
     # the one-pass merge against the sort-and-merge it replaced, for sets of
     # like sizes and for a few parts placed among many short ones
@@ -549,7 +552,7 @@ class TestAgainstOracle:
 
     @given(interval_sets, st.integers(-5, 405))
     def test_contains_pointwise(self, s, g):
-        assert s.contains(g) == (g in members(s))
+        assert (g in s) == (g in members(s))
 
     @given(interval_sets, interval_sets, interval_sets)
     def test_union_associative_commutative(self, a, b, c):
@@ -594,5 +597,5 @@ def test_randomized_family_matches_bitset(seed):
     assert comp.count == 100_001 - u.count
     for _ in range(50):
         g = rng.randint(0, 100_000)
-        assert u.contains(g) == (g in oracles[0] or g in oracles[1])
-        assert comp.contains(g) != u.contains(g)
+        assert (g in u) == (g in oracles[0] or g in oracles[1])
+        assert (g in comp) != (g in u)
