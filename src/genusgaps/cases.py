@@ -61,6 +61,7 @@ from .gapmap import candidate_gap_interval
 from .picard import (
     BUILTINS,
     PicardLattice,
+    adjunction_genus,
     builtin_lattice,
     family_dim_bound,
     intersect,
@@ -432,9 +433,12 @@ def expected_neg_kappa(record: CaseRecord, d: int) -> int:
 def restricted_triples() -> tuple[tuple[int, int, int], ...]:
     """All (d, n, g) that must be eliminated to prove the second gap range, in order.
 
-    For each degree, n runs from 3 while the Clemens bound stays within the
-    candidate range, and g from the bound (or the range's bottom) to its top;
-    see ``_is_restricted`` for why no later n can return.
+    A triple is restricted when g lies in the candidate range between the
+    windows at n = 1 and n = 2, and n >= 3 has ``clemens_min_genus(d, n) <= g``.
+    For d >= 6 that bound, n d (d-5)/2 + 2, strictly increases in n, as
+    d(d-5) > 0: n runs from 3 until the bound leaves the range, and g from
+    the bound (or the range's bottom) to its top.  The range has
+    (d^2 - d - 20)/2 >= 5 members for d >= 6, so it is never empty.
     """
     out = []
     for d in RESTRICTED_DEGREES:
@@ -446,19 +450,7 @@ def restricted_triples() -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _is_restricted(d: int, n: int, g: int) -> bool:
-    """Whether (d, n, g) is in ``restricted_triples()``, without building it.
-
-    A triple is restricted when g lies in the candidate range between the
-    windows at n = 1 and n = 2, and n >= 3 has ``clemens_min_genus(d, n) <= g``.
-    For d >= 6 that bound, n d (d-5)/2 + 2, strictly increases in n, as
-    d(d-5) > 0: the n that pass for g are the run 3, 4, ... up to the first
-    that fails, so membership is one evaluation.  The range has
-    (d^2 - d - 20)/2 >= 5 members for d >= 6, so it is never empty.
-    """
-    if d not in RESTRICTED_DEGREES:
-        return False
-    return g in candidate_gap_interval(d, 1) and n >= 3 and clemens_min_genus(d, n) <= g
+_RESTRICTED = frozenset(restricted_triples())  # built once, for check_elimination
 
 
 def _linear_forms(
@@ -529,7 +521,7 @@ def check_elimination(
     """
     n = record.n
     for g in genera:
-        if not _is_restricted(d, n, g):
+        if (d, n, g) not in _RESTRICTED:
             raise ValueError(f"({d}, {n}, {g}) is not a restricted triple")
     neg_kappa = max_neg_canonical_degree(record, d)
     checks = []
@@ -625,22 +617,14 @@ def _lattice_checks() -> list[CheckResult]:
                 detail=f"K.K = {k2}, documented {lat.k2}",
             )
         )
-    # adjunction ties the lattice models back to the closed-form genus.  The
-    # intersection form is bilinear, so (d*H).(d*H) = d^2 H.H and K.(d*H) =
-    # d K.H, and p_a(d*H) = (d^2 H.H + d K.H)/2 + 1 exactly: the audit reads
-    # H.H and K.H once per lattice and evaluates that quadratic for each d.
+    # adjunction ties the lattice models back to the closed-form genus.  As
+    # intersect is bilinear, p_a(d*H) and the genus formula are polynomials of
+    # degree <= 2 in d, both 1 at d = 0: agreeing at d = 1 and 2, they agree
+    # at every d in 1..30.  2 p_a(d*H) - 2 = d^2 H.H + d K.H = d (H.H + K.H)
+    # mod 2 is odd, if ever, at d = 1, where adjunction_genus raises.
     for lat in sorted((lat for lat in BUILTINS if lat.degree), key=lambda lat: lat.degree):
         h = lat.cls("H")
-        hh, kh = intersect(lat, h, h), intersect(lat, lat.canonical, h)
-        ok = True
-        for d in range(1, 31):
-            total = d * d * hh + d * kh
-            if total % 2:
-                # the same error, at the same first d, as picard.adjunction_genus
-                raise ArithmeticError(f"{lat.name}: adjunction not integral on {d * h}")
-            if total // 2 + 1 != arithmetic_genus(lat.degree, d):
-                ok = False
-                break
+        ok = all(adjunction_genus(lat, d * h) == arithmetic_genus(lat.degree, d) for d in (1, 2))
         checks.append(
             CheckResult(
                 check_id=f"adjunction/{lat.name}",

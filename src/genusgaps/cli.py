@@ -270,16 +270,15 @@ def _decomposition(dec: GapDecomposition) -> Record:
             lambda: [f"degree {dec.d}: no gaps, every genus is a certified non-gap"],
         )
 
-    tag = dict(dec.proved_sources)
-
     # Each part is rendered by one %-template of its kind, the many unknown
-    # and certified parts through C-level maps over their flat bounds.  The
-    # three sets partition [0, horizon], so no two parts share a lo and
-    # sorting by lo is total.
+    # and certified parts through C-level maps over their flat bounds, the
+    # proved ones with their sources as ``decompose`` paired them (its ranges
+    # are the proved parts).  The three sets partition [0, horizon], so no
+    # two parts share a lo and sorting by lo is total.
     u, c = unknown.bounds, certified.bounds
 
     def rows() -> list[str]:
-        out = ["%d,proved,%d,%d,%s" % (dec.d, p.lo, p.hi, tag.get(p, "")) for p in proved]
+        out = ["%d,proved,%d,%d,%s" % (dec.d, p.lo, p.hi, src) for p, src in dec.proved_sources]
         out += map(f"{dec.d},unknown,%d,%d,".__mod__, zip(u[0::2], u[1::2]))
         out += map(f"{dec.d},certified,%d,%d,".__mod__, zip(c[0::2], c[1::2]))
         los = [*proved.bounds[0::2], *u[0::2], *c[0::2]]
@@ -288,7 +287,8 @@ def _decomposition(dec: GapDecomposition) -> Record:
     def lines() -> list[str]:
         out = [f"degree {dec.d}: gaps confined to [0,{dec.horizon}]"]
         out += [
-            "  proved gap         [%d,%d]  [%s]" % (p.lo, p.hi, tag.get(p, "")) for p in proved
+            "  proved gap         [%d,%d]  [%s]" % (p.lo, p.hi, src)
+            for p, src in dec.proved_sources
         ]
         out += map("  unknown            [%d,%d]".__mod__, zip(u[0::2], u[1::2]))
         out += map("  certified non-gap  [%d,%d]".__mod__, zip(c[0::2], c[1::2]))
@@ -314,10 +314,13 @@ def _cmd_decompose(args: Args) -> Record:
 
 def _cmd_bounds(args: Args) -> Record:
     _check_decomposable(args.d)
-    coarse = coarse_horizon(args.d)
+    horizon = coarse_horizon(args.d)
+    # every format writes the coarse horizon, and refined < coarse: a coarse
+    # horizon too long for str(int) raises here, before a seconds-long search
+    coarse = str(horizon)
     refined = refined_horizon(args.d) if args.d >= 5 else -1
     return Record(
-        fields=lambda: {"d": args.d, "coarse": coarse, "refined": refined},
+        fields=lambda: {"d": args.d, "coarse": horizon, "refined": refined},
         header=["d", "coarse", "refined"],
         rows=lambda: [_csv_row([args.d, coarse, refined])],
         lines=lambda: [f"degree {args.d}: coarse horizon {coarse}, refined horizon {refined}"],

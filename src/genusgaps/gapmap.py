@@ -131,14 +131,9 @@ def _window(d: int, n: int) -> tuple[int, int]:
 
 def candidate_gap_interval(d: int, n: int) -> Interval | None:
     """Genus range strictly between the windows at n and n+1, if they do not join."""
-    _check_d(d, 4)
-    if n < 1:
-        raise ValueError(f"cutting degree must be >= 1, got {n}")
-    lo = arithmetic_genus(d, n) + 1
-    hi = arithmetic_genus(d, n + 1) - linsys_dim(d, n + 1) - 1
-    if lo > hi:
-        return None
-    return Interval(lo, hi)
+    lo = realizable_interval(d, n).hi + 1  # checks d and n
+    hi = _window(d, n + 1)[0] - 1
+    return Interval(lo, hi) if lo <= hi else None
 
 
 def initial_gap_interval(d: int) -> Interval | None:
@@ -298,7 +293,11 @@ def decompose(d: int) -> GapDecomposition:
     proves for every d, the ``Xu-initial`` range ends at b(1) - 1, below
     every window, and the ``MainTheorem-Gaps1`` range runs from
     p_a(d, 1) + 1, above the degree-1 window, to b(2) - 1, below every
-    later window.
+    later window.  Four genera lie between the two, and the horizon
+    b(n*-1) - 1 is at least b(2) - 1 for d >= 6, as the windows at n = 1
+    and 2 never join there, so n* >= 3.  So clipping cuts neither range,
+    and ``proved_sources`` pairs exactly the parts of ``proved_gaps`` with
+    their sources.
     """
     _check_d(d, 4)
     if d == 4:

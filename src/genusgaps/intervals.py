@@ -7,7 +7,7 @@ integers always have identical parts regardless of construction order,
 and "number of parts" is well defined.  It stores them as one flat tuple
 of integer bounds, ``bounds = (lo0, hi0, lo1, hi1, ...)``, which never
 decreases (a one-integer part repeats its value); the ``Interval`` parts
-are built from it only when first read.
+are built from it on each read.
 
 Only the constructor sorts and merges.  ``union``, ``clip`` and
 ``complement_within`` build their bounds in order from already separated
@@ -73,39 +73,32 @@ class IntervalSet(Value):
 
     The parts are kept as flat integer bounds, ``bounds = (lo0, hi0, lo1,
     hi1, ...)``.  ``parts``, the tuple of ``Interval``s that the constructor
-    takes and iteration gives, is built from the bounds when first read
-    and kept in a slot of its own, outside equality, hash and repr.
+    takes and iteration gives, is built from the bounds on each read.
     A value type (see ``_value``) for assignment, deletion, copy and
     pickle, which rebuilds through the constructor from ``parts``.
     Equality holds with any ``IntervalSet`` of the same bounds, the hash is
     that of the bounds, and the repr lists each part as ``[lo,hi]``.
     """
 
-    __slots__ = ("bounds", "_parts")
+    __slots__ = ("bounds",)
     __match_args__ = ("parts",)
 
     bounds: tuple[int, ...]
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
         _set_bounds(self, _normalize(intervals))
-        _set_parts(self, None)
 
     @classmethod
     def _separated(cls, bounds: tuple[int, ...]) -> "IntervalSet":
         """The set with flat ``bounds``, which must already be sorted and separated."""
         s = object.__new__(cls)
         _set_bounds(s, bounds)
-        _set_parts(s, None)
         return s
 
     @property
     def parts(self) -> tuple[Interval, ...]:
-        parts = self._parts
-        if parts is None:
-            b = self.bounds
-            parts = tuple(map(Interval, b[0::2], b[1::2]))
-            _set_parts(self, parts)
-        return parts
+        b = self.bounds
+        return tuple(map(Interval, b[0::2], b[1::2]))
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         """Union of two normalized sets, merged in one pass without re-sorting.
@@ -205,7 +198,7 @@ class IntervalSet(Value):
         return "{" + ",".join([f"[{lo},{hi}]" for lo, hi in zip(b[0::2], b[1::2])]) + "}"
 
 
-_set_bounds, _set_parts = setters(IntervalSet)
+(_set_bounds,) = setters(IntervalSet)
 
 # each part's (lo, hi), read at C level, which sort in the class order
 _BOUNDS = attrgetter("lo", "hi")

@@ -22,7 +22,6 @@ from genusgaps.cases import (
     CheckResult,
     SweepConstraint,
     SweepParam,
-    _is_restricted,
     _linear_forms,
     check_elimination,
     expected_neg_kappa,
@@ -132,10 +131,18 @@ class TestRestrictedTriples:
 
     def test_guard_matches_the_enumeration(self):
         triples = set(restricted_triples())
+        assert case_mod._RESTRICTED == triples
+        # check_elimination's guard, for each cutting degree a record has
+        records = {3: by_id("cubic-i"), 4: by_id("quartic-K3")}
         for d in range(4, 13):
-            for n in range(13):
+            for n, record in records.items():
                 for g in range(-2, 81):
-                    assert _is_restricted(d, n, g) == ((d, n, g) in triples), (d, n, g)
+                    try:
+                        check_elimination(record, d, (g,))
+                    except ValueError:
+                        assert (d, n, g) not in triples, (d, n, g)
+                    else:
+                        assert (d, n, g) in triples, (d, n, g)
 
     def test_documented_members(self):
         triples = restricted_triples()
@@ -721,7 +728,8 @@ class TestCheckElimination:
             window = candidate_gap_interval(d, 1)
             for g in range(window.lo - 3, window.hi + 4):
                 for n in range(13):
-                    assert _is_restricted(d, n, g) == set_building(d, n, g), (d, n, g)
+                    got = (d, n, g) in case_mod._RESTRICTED
+                    assert got == set_building(d, n, g), (d, n, g)
 
     def test_multi_genus_call_matches_single_calls(self):
         for record in load_cases():
@@ -806,7 +814,8 @@ class TestVerify:
         assert len(swept) == len(set(swept)) == 40  # 8 cubic families x 3 + 16 quartic x 1
 
     def test_verify_all_work_counts(self, monkeypatch):
-        counts = {"max_neg_canonical_degree": 0, "check_elimination": 0, "intersect": 0}
+        counts = {"max_neg_canonical_degree": 0, "check_elimination": 0, "intersect": 0,
+                  "adjunction_genus": 0}
 
         def counted(name):
             real = getattr(case_mod, name)
@@ -826,10 +835,11 @@ class TestVerify:
         assert counts["max_neg_canonical_degree"] == 8 * 16 + 16
         assert counts["check_elimination"] == 40
         # the Gram readings: 70 as the 24 records are constructed, none in
-        # the 144 sweeps, which read the forms kept on the records, 21 for the
-        # lattices' K.K, and H.H and K.H for each of the 11 lattices with a
-        # surface degree
-        assert counts["intersect"] == 70 + 21 + 2 * 11
+        # the 144 sweeps, which read the forms kept on the records, and 21 for
+        # the lattices' K.K; the 11 lattices with a surface degree are audited
+        # by adjunction at d = 1 and d = 2
+        assert counts["intersect"] == 70 + 21
+        assert counts["adjunction_genus"] == 2 * 11
         points = 0
 
         def product(*ranges):
@@ -965,6 +975,16 @@ class TestLatticeAudit:
             assert want is ArithmeticError
         else:
             assert sum(not c.ok for c in want) == 1
+
+    def test_audit_calls_adjunction_genus(self, monkeypatch):
+        # an adjunction_genus one off fails every adjunction check and no other
+        monkeypatch.setattr(
+            case_mod, "adjunction_genus", lambda lat, c: adjunction_genus(lat, c) + 1
+        )
+        report = verify_kappa()
+        failed = [c.check_id for c in report.checks if not c.ok]
+        assert len(failed) == 11
+        assert all(check_id.startswith("adjunction/") for check_id in failed)
 
     @pytest.mark.parametrize("lat", [lat for lat in BUILTINS if "H" in lat.named],
                              ids=lambda lat: lat.name)

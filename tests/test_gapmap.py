@@ -238,8 +238,10 @@ class TestDecompose:
         assert d5.proved_sources == ((Interval(0, 2), SOURCE_XU),)
 
     def test_partition(self):
-        for d in range(4, 31):
+        for d in [*range(4, 31), 10**4, 5 * 10**4]:
             dec = decompose(d)
+            # the renderers read the proved parts off the sources
+            assert tuple(i for i, _ in dec.proved_sources) == dec.proved_gaps.parts, d
             total = (
                 dec.proved_gaps.count
                 + dec.unknown_candidates.count

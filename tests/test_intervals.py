@@ -310,7 +310,7 @@ class TestIntervalSetValue:
                 setattr(s, name, ())
             with pytest.raises(AttributeError):
                 delattr(s, name)
-        assert s.parts is parts
+        assert s.parts == parts
 
     @given(interval_sets)
     def test_copy_and_pickle_round_trip(self, s):
@@ -416,11 +416,11 @@ class TestIntervalSetAgainstOracle:
                 setattr(got, name, ())
             with pytest.raises(AttributeError):
                 delattr(got, name)
-        assert got.parts is parts
+        assert got.parts == parts
         assert IntervalSet.__match_args__ == OracleIntervalSet.__match_args__ == ("parts",)
         match got:
             case IntervalSet(matched):
-                assert matched is parts
+                assert matched == parts
 
     @pytest.mark.parametrize("d", [*range(5, 40), 6000, 50000])
     def test_decomposition_matches_oracle_algebra(self, d):
@@ -463,9 +463,9 @@ class TestIntervalWorkCounts:
         # proved ranges; the window, unknown and proved parts are flat bounds
         assert len(built) == 4
 
-    # the proved rows and lines read the two proved parts as Intervals, to
-    # find each one's source; JSON reads the sources as decompose made them
-    @pytest.mark.parametrize("fmt, count", [("table", 4 + 2), ("json", 4), ("csv", 4 + 2)])
+    # every rendering reads the proved parts and their sources as decompose
+    # made them, so none builds an Interval of its own
+    @pytest.mark.parametrize("fmt, count", [("table", 4), ("json", 4), ("csv", 4)])
     def test_cli_decompose(self, built, capsys, fmt, count):
         assert cli.main(["decompose", "50000", "--format", fmt]) == 0
         assert capsys.readouterr().out
