@@ -298,13 +298,20 @@ def _decomposition(dec: GapDecomposition) -> Record:
     return Record(fields, DECOMPOSITION_HEADER, rows, lines)
 
 
-def _check_decomposable(d: int) -> None:
+def _check_decomposable(d: int) -> str:
+    """The coarse horizon of d as text, after checking that d has a decomposition.
+
+    Every horizon and part that ``bounds``, ``decompose`` and ``table`` write
+    is at most the coarse horizon, so one too long for str(int) raises here,
+    before a search that would step through about d^(2/3) windows.
+    """
     _check_d(d, 1)  # below 1 is no surface degree at all
     if d < 4:
         raise ValueError(
             f"no gap decomposition for degree {d}: surfaces of degree at most 3"
             " are rational and carry irreducible curves of every genus"
         )
+    return str(coarse_horizon(d))
 
 
 def _cmd_decompose(args: Args) -> Record:
@@ -313,14 +320,10 @@ def _cmd_decompose(args: Args) -> Record:
 
 
 def _cmd_bounds(args: Args) -> Record:
-    _check_decomposable(args.d)
-    horizon = coarse_horizon(args.d)
-    # every format writes the coarse horizon, and refined < coarse: a coarse
-    # horizon too long for str(int) raises here, before a seconds-long search
-    coarse = str(horizon)
+    coarse = _check_decomposable(args.d)
     refined = refined_horizon(args.d) if args.d >= 5 else -1
     return Record(
-        fields=lambda: {"d": args.d, "coarse": horizon, "refined": refined},
+        fields=lambda: {"d": args.d, "coarse": int(coarse), "refined": refined},
         header=["d", "coarse", "refined"],
         rows=lambda: [_csv_row([args.d, coarse, refined])],
         lines=lambda: [f"degree {args.d}: coarse horizon {coarse}, refined horizon {refined}"],
@@ -332,6 +335,7 @@ def _cmd_table(args: Args) -> Record:
         raise ValueError(
             f"need 4 <= d_min <= d_max, got d_min={args.d_min}, d_max={args.d_max}"
         )
+    _check_decomposable(args.d_max)
     # degrees ascend and each block is sorted by lo, so the rows stay sorted by (d, lo)
     blocks = [_decomposition(decompose(d)) for d in range(args.d_min, args.d_max + 1)]
     return Record(

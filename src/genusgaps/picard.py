@@ -11,7 +11,9 @@ scrolls, and the irreducible quartics (K3, cone over a plane quartic,
 rational and elliptic-ruled models with an irrational singular point,
 non-normal scrolls, the Segre symmetroid, projected quartics).  Each one
 records only Gram data, never the surface itself, and every downstream
-number is recomputed from the Gram matrix.
+number is recomputed from the Gram matrix.  Thirteen follow from a family
+rule: nine ruled surfaces (``_ruled``) and four blown-up planes
+(``_plane``); the other eight write their Gram matrix and K out in full.
 
 ``BUILTINS`` is the one registry of the 21 built-in lattices, built once at
 import; ``builtin_lattice`` looks a name up there and nothing else.  Each
@@ -181,39 +183,39 @@ def _lat(
     )
 
 
+def _ruled(
+    name: str, q: int, e: int, section: str, named: dict[str, tuple[int, ...]],
+    description: str, k2: int, degree: int | None = None,
+) -> PicardLattice:
+    # ruled over a genus-q curve: C^2 = -e, C.F = 1, F^2 = 0, K = -2C + (2q - 2 - e)F
+    gram = ((-e, 1), (1, 0))
+    return _lat(name, (section, "F"), gram, (-2, 2 * q - 2 - e), named, description, k2, degree)
+
+
 def _hirzebruch(e: int, named: dict[str, tuple[int, ...]]) -> PicardLattice:
-    # section E with E^2 = -e, fiber F; K = -2E - (e+2)F, K^2 = 8
-    return _lat(
-        f"hirzebruch({e})",
-        ("E", "F"),
-        ((-e, 1), (1, 0)),
-        (-2, -(e + 2)),
-        named,
+    return _ruled(
+        f"hirzebruch({e})", 0, e, "E", named,
         f"ruled surface over P^1 with a section of self-intersection -{e}; "
-        "H is the hyperplane class of the projective model used by the case table",
-        k2=8,
+        "H is the hyperplane class of the projective model used by the case table", k2=8,
     )
+
+
+def _plane(
+    name: str, r: int, named: dict[str, tuple[int, ...]], description: str, k2: int,
+    degree: int | None = None,
+) -> PicardLattice:
+    # P^2 blown up at r points: Gram diag(1, -1, ..., -1), K = -3L + E1 + ... + Er
+    basis = ("L",) + tuple(f"E{i}" for i in range(1, r + 1))
+    diag = (1,) + (-1,) * r
+    gram = tuple(tuple(v * (i == j) for j in range(r + 1)) for i, v in enumerate(diag))
+    return _lat(name, basis, gram, (-3,) + (1,) * r, named, description, k2, degree)
 
 
 def _blowup_plane(
     r: int, named: dict[str, tuple[int, ...]], k2: int, degree: int | None = None
 ) -> PicardLattice:
-    # P^2 blown up at r points, total-transform basis, Gram diag(1, -1, ..., -1)
-    basis = ("L",) + tuple(f"E{i}" for i in range(1, r + 1))
-    gram = tuple(
-        tuple((1 if i == 0 else -1) if i == j else 0 for j in range(r + 1))
-        for i in range(r + 1)
-    )
-    return _lat(
-        f"blowup_plane({r})",
-        basis,
-        gram,
-        (-3,) + (1,) * r,
-        named,
-        f"plane blown up at {r} points (total-transform exceptional basis)",
-        k2=k2,
-        degree=degree,
-    )
+    description = f"plane blown up at {r} points (total-transform exceptional basis)"
+    return _plane(f"blowup_plane({r})", r, named, description, k2, degree)
 
 
 # Every built-in lattice, in declaration order.  The adjunction audit walks
@@ -223,22 +225,14 @@ BUILTINS: tuple[PicardLattice, ...] = (
     _hirzebruch(1, {"H": (1, 2)}),
     _hirzebruch(2, {"H": (1, 3), "D": (1, 2)}),
     _hirzebruch(3, {"H": (1, 3)}),
-    _lat(
-        "elliptic_cone",
-        ("E", "F"),
-        ((-3, 1), (1, 0)),
-        (-2, -3),
-        {"H": (1, 3)},
+    _ruled(
+        "elliptic_cone", 1, 3, "E", {"H": (1, 3)},
         "minimal desingularization of the cone over a smooth plane cubic: "
         "ruled over an elliptic curve, E the (-3)-section over the vertex, H = E + 3F",
         k2=0, degree=3,
     ),
-    _lat(
-        "quartic_cone",
-        ("E0", "F"),
-        ((-4, 1), (1, 0)),
-        (-2, 0),
-        {"H": (1, 4), "E": (2, 0)},
+    _ruled(
+        "quartic_cone", 3, 4, "E0", {"H": (1, 4), "E": (2, 0)},
         "cone over a smooth plane quartic: E0 the (-4)-section over the vertex, "
         "anticanonical E = 2E0, H = E0 + 4F",
         k2=-16, degree=4,
@@ -368,76 +362,40 @@ BUILTINS: tuple[PicardLattice, ...] = (
         "point of genus 2; anticanonical E = 2*Xi + Delta1",
         k2=-2, degree=4,
     ),
-    _lat(
-        "genus2_scroll",
-        ("E", "F"),
-        ((-4, 1), (1, 0)),
-        (-2, -2),
-        {"H": (1, 4), "E": (1, 0)},
+    _ruled(
+        "genus2_scroll", 2, 4, "E", {"H": (1, 4), "E": (1, 0)},
         "non-normal quartic scroll over a genus-2 curve (cone over a singular "
-        "plane quartic): H = E + 4F",
-        k2=-8,
+        "plane quartic): H = E + 4F", k2=-8,
     ),
-    _lat(
-        "elliptic_scroll_a",
-        ("D1", "F"),
-        ((0, 1), (1, 0)),
-        (-2, 0),
-        {"H": (1, 2), "D1": (1, 0)},
-        "non-normal elliptic scroll with two skew double lines (split bundle)",
-        k2=0,
+    _ruled(
+        "elliptic_scroll_a", 1, 0, "D1", {"H": (1, 2), "D1": (1, 0)},
+        "non-normal elliptic scroll with two skew double lines (split bundle)", k2=0,
     ),
-    _lat(
-        "elliptic_scroll_b",
-        ("D1", "F"),
-        ((0, 1), (1, 0)),
-        (-2, 0),
-        {"H": (1, 2), "D1": (1, 0)},
+    _ruled(
+        "elliptic_scroll_b", 1, 0, "D1", {"H": (1, 2), "D1": (1, 0)},
         "non-normal elliptic scroll with a single double line (non-split bundle); "
-        "numerically identical to the split model",
-        k2=0,
+        "numerically identical to the split model", k2=0,
     ),
-    _lat(
-        "veronese",
-        ("L",),
-        ((1,),),
-        (-3,),
-        {"H": (2,)},
-        "Veronese plane projected to P^3 (Steiner's Roman surface): H = 2L",
-        k2=9,
+    _plane(
+        "veronese", 0, {"H": (2,)},
+        "Veronese plane projected to P^3 (Steiner's Roman surface): H = 2L", k2=9,
     ),
-    _lat(
-        "segre",
-        ("L", "E1", "E2", "E3", "E4", "E5"),
-        (
-            (1, 0, 0, 0, 0, 0),
-            (0, -1, 0, 0, 0, 0),
-            (0, 0, -1, 0, 0, 0),
-            (0, 0, 0, -1, 0, 0),
-            (0, 0, 0, 0, -1, 0),
-            (0, 0, 0, 0, 0, -1),
-        ),
-        (-3, 1, 1, 1, 1, 1),
-        {"H": (3, -1, -1, -1, -1, -1)},
+    _plane(
+        "segre", 5, {"H": (3, -1, -1, -1, -1, -1)},
         "Segre quartic symmetroid: projection of a degree-4 weak del Pezzo "
-        "surface, H = -K",
-        k2=4,
+        "surface, H = -K", k2=4,
     ),
     # anticanonical model: a cubic surface with at worst rational double points
     _blowup_plane(6, {"H": (3,) + (-1,) * 6}, k2=3, degree=3),
     # quartic with a double line: H = 4L - 2E1 - E2 - ... - E9, conic pencil
     # Lam = L - E1, and the two possible triple-point cycle components meeting
     # the pencil once
-    _blowup_plane(
-        9,
-        {
-            "H": (4, -2, -1, -1, -1, -1, -1, -1, -1, -1),
-            "Lam": (1, -1, 0, 0, 0, 0, 0, 0, 0, 0),
-            "A1": (0, 1, -1, -1, 0, 0, 0, 0, 0, 0),
-            "A2": (0, 1, 0, 0, -1, -1, 0, 0, 0, 0),
-        },
-        k2=0,
-    ),
+    _blowup_plane(9, {
+        "H": (4, -2, -1, -1, -1, -1, -1, -1, -1, -1),
+        "Lam": (1, -1, 0, 0, 0, 0, 0, 0, 0, 0),
+        "A1": (0, 1, -1, -1, 0, 0, 0, 0, 0, 0),
+        "A2": (0, 1, 0, 0, -1, -1, 0, 0, 0, 0),
+    }, k2=0),
 )
 
 _REGISTRY: dict[str, PicardLattice] = {lat.name: lat for lat in BUILTINS}

@@ -32,12 +32,15 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return rc, captured.out, captured.err
 
 
-def run_proc(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
+def run_proc(
+    *argv: str, env: dict | None = None, timeout: float | None = None
+) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "genusgaps", *argv],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -244,6 +247,22 @@ class TestBounds:
             assert err.startswith("error: ") and err.count("\n") == 1, err
         proc = run_proc("bounds", d)
         assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize("command", [["decompose"], ["table", "4"]])
+    def test_decompose_and_table_refuse_an_unprintable_answer_up_front(self, command, fmt):
+        # the coarse horizon bounds every part these commands write, so a degree
+        # whose coarse horizon str(int) cannot write is refused before the window
+        # search, which would step through about d^(2/3) windows
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int to str conversion has no digit limit in this interpreter")
+        d = "7" * -(-limit // 2)
+        proc = run_proc(*command, d, "--format", fmt, timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        bounds = run_proc("bounds", d, "--format", fmt, timeout=20)
+        assert proc.stderr == bounds.stderr
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 

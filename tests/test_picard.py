@@ -72,6 +72,21 @@ RULED = {
     "elliptic_ruled_c": "F",
 }
 
+# the two family rules, as (section label, genus q of the base curve) of each
+# ruled surface and the number r of points blown up in each plane
+RULED_SECTIONS = {
+    "hirzebruch(0)": ("E", 0),
+    "hirzebruch(1)": ("E", 0),
+    "hirzebruch(2)": ("E", 0),
+    "hirzebruch(3)": ("E", 0),
+    "elliptic_cone": ("E", 1),
+    "quartic_cone": ("E0", 3),
+    "genus2_scroll": ("E", 2),
+    "elliptic_scroll_a": ("D1", 1),
+    "elliptic_scroll_b": ("D1", 1),
+}
+BLOWN_UP_PLANES = {"veronese": 0, "segre": 5, "blowup_plane(6)": 6, "blowup_plane(9)": 9}
+
 
 def diag_intersect(signs: list[int], a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Independent evaluation for diagonal Gram matrices."""
@@ -140,6 +155,28 @@ class TestBuiltins:
         f = lat.cls(fiber)
         assert intersect(lat, f, f) == 0
         assert canonical_degree(lat, f) == -2
+
+    @pytest.mark.parametrize("name", sorted(RULED_SECTIONS))
+    def test_ruled_section_has_the_base_genus(self, name):
+        # C^2 + K.C = 2q - 2 for the section C over a genus-q curve
+        section, q = RULED_SECTIONS[name]
+        lat = builtin_lattice(name)
+        assert lat.basis == (section, "F")
+        c, f = lat.cls(section), lat.cls("F")
+        assert adjunction_genus(lat, c) == q
+        assert intersect(lat, f, f) == 0
+        assert intersect(lat, c, f) == 1
+
+    @pytest.mark.parametrize("name,r", sorted(BLOWN_UP_PLANES.items()))
+    def test_blown_up_plane_classes_are_rational(self, name, r):
+        lat = builtin_lattice(name)
+        exceptional = [f"E{i}" for i in range(1, r + 1)]
+        assert lat.basis == ("L", *exceptional)
+        assert adjunction_genus(lat, lat.cls("L")) == 0
+        for label in exceptional:
+            e = lat.cls(label)
+            assert adjunction_genus(lat, e) == 0
+            assert intersect(lat, e, e) == -1
 
     def test_cubic_models(self):
         for name in ("elliptic_cone", "hirzebruch(1)", "hirzebruch(3)", "blowup_plane(6)"):
