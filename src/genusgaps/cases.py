@@ -21,7 +21,8 @@ parameters, linear sweep constraints ``gamma . pencil >= min_value``, a
 family-dimension bound, and the check mode.  The table ships as JSON
 (``data/cases.json``, schema below) and is embedded in the package, so the
 verifier runs with zero configuration; ``load_cases`` accepts an external
-file with the same schema.
+file with the same schema.  The JSON reader checks the exact type of every
+value, and the record checks what the values mean.
 
 JSON schema (one object)::
 
@@ -153,7 +154,7 @@ class CaseRecord(Value):
         description: str = "",
         delegated: bool = False,
     ) -> None:
-        """Check every d-independent invariant; every record, parsed or built, passes here."""
+        """Check every d-independent invariant of meaning; the JSON reader checks types."""
         _set_id(self, id)
         _set_n(self, n)
         _set_lattice(self, lattice)
@@ -171,38 +172,6 @@ class CaseRecord(Value):
         def fail(why: str) -> NoReturn:
             raise CaseDataError(f"{self.id}: {why}")
 
-        def need(value: object, kind: type, what: str, optional: bool = False) -> None:
-            # exact type, so that an int field takes no bool
-            if type(value) is not kind and not (optional and value is None):
-                fail(f"bad value {value!r} for {what}")
-
-        # types first, so that no check below compares a float, a bool or None,
-        # and no caller sorts a non-str id or hashes a list
-        for what in ("id", "lattice", "base", "mode", "description"):
-            need(getattr(self, what), str, what)
-        for what, kind in (("params", SweepParam), ("constraints", SweepConstraint)):
-            need(getattr(self, what), tuple, what)
-            for entry in getattr(self, what):
-                need(entry, kind, f"entry of {what}")
-        need(self.n, int, "n")
-        need(self.family_dim, int, "family_dim")
-        need(self.threshold, int, "threshold", optional=True)
-        for what, values in (("hilbert_component_dims", self.hilbert_component_dims),
-                             ("expected_neg_kappa", self.expected_neg_kappa)):
-            need(values, tuple, what)
-            for value in values:
-                need(value, int, what)
-        if len(self.expected_neg_kappa) != 2:
-            fail("expected_neg_kappa must be (per_d, const)")
-        for p in self.params:
-            need(p.label, str, "label of a parameter")
-            need(p.cls, str, f"class of parameter {p.label}")
-            need(p.lo, int, f"lo of parameter {p.label}")
-            need(p.hi, int, f"hi of parameter {p.label}", optional=True)
-        for c in self.constraints:
-            need(c.cls, str, "class of a constraint")
-            need(c.min_value, int, f"min of constraint {c.cls}")
-        need(self.delegated, bool, "delegated")
         if self.family_dim < 0:
             fail("family_dim must be >= 0")
         if self.n not in (3, 4):
@@ -365,8 +334,9 @@ _REQUIRED = object()
 def _parse_record(raw: object, pos: int) -> CaseRecord:
     """The record encoded by one JSON object of the ``cases`` list.
 
-    A missing key or a value of the wrong JSON type raises ``CaseDataError``
-    naming the record by its ``id``, or by its position if that is no string.
+    The one type check of a record: a missing key or a value of the wrong JSON
+    type raises ``CaseDataError`` naming the record by its ``id``, or by its
+    position if that is no string.
     """
     name = raw.get("id") if isinstance(raw, dict) else None
     name = name if isinstance(name, str) else f"cases[{pos}]"

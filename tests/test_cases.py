@@ -331,50 +331,6 @@ class TestCaseTable:
                 expected_neg_kappa=(0, 8),
             )
 
-    @pytest.mark.parametrize(
-        "case_id,field,value",
-        [
-            ("quartic-K3", "family_dim", 1.5),
-            ("quartic-K3", "family_dim", True),
-            ("quartic-K3", "n", 4.0),
-            ("quartic-rational-c", "threshold", 23.0),
-            ("quartic-rational-c", "threshold", True),
-            ("quartic-rational-c", "hilbert_component_dims", (27, 29.0)),
-            ("quartic-rational-c", "hilbert_component_dims", [27, 29]),
-            ("quartic-K3", "expected_neg_kappa", (0, 0.0)),
-            ("quartic-K3", "expected_neg_kappa", (False, 0)),
-            ("quartic-K3", "expected_neg_kappa", (0, 0, 0)),
-            ("quartic-cone", "lo", False),
-            ("quartic-cone", "hi", 1.0),
-            ("quartic-dp2", "min_value", 0.0),
-            ("quartic-K3", "delegated", 0),
-            ("quartic-K3", "delegated", "no"),
-            ("quartic-K3", "id", 7),
-            ("quartic-K3", "lattice", ["k3_quartic"]),
-            ("quartic-K3", "base", None),
-            ("quartic-K3", "mode", None),
-            ("quartic-K3", "description", None),
-            ("quartic-K3", "params", []),
-            ("quartic-K3", "constraints", []),
-            ("quartic-cone", "params", ({"label": "m", "cls": "E0"},)),
-            ("quartic-dp2", "constraints", (("P", 0),)),
-            ("quartic-cone", "params", (SweepParam(label=7, cls="E0", hi=1),)),
-            ("quartic-cone", "params", (SweepParam(label="m", cls=None, hi=1),)),
-            ("quartic-dp2", "constraints", (SweepConstraint(cls=None, min_value=0),)),
-        ],
-    )
-    def test_built_record_takes_exact_types(self, case_id, field, value):
-        record = by_id(case_id)
-        if field in ("lo", "hi"):
-            changes = {"params": (rebuild(record.params[0], **{field: value}),)}
-        elif field == "min_value":
-            changes = {"constraints": (SweepConstraint(cls="P", min_value=value),)}
-        else:
-            changes = {field: value}
-        name = value if field == "id" else case_id
-        with pytest.raises(CaseDataError, match=f"^{name}: "):
-            rebuild(record, **changes)
-
     def test_shared_label_keeps_parameters_apart(self, tmp_path):
         # labels only name parameters; the sweep must not collapse two that share one
         def mutate(doc):
@@ -403,6 +359,36 @@ class TestCaseTable:
             ("expected_neg_kappa", {"per_d": 3}, "cubic-i: missing key 'const'"),
             ("id", DELETE, r"cases\[0\]: missing key 'id'"),
             ("id", 7, r"cases\[0\]: bad value 7 for 'id'"),
+            ("family_dim", True, "cubic-i: bad value True for 'family_dim'"),
+            ("n", 4.0, "cubic-i: bad value 4.0 for 'n'"),
+            ("threshold", 23.0, "cubic-i: bad value 23.0 for 'threshold'"),
+            ("threshold", True, "cubic-i: bad value True for 'threshold'"),
+            ("gamma", {"subtract": [{"cls": "E", "param": "m", "lo": False}]},
+             "cubic-i: bad value False for 'lo'"),
+            ("gamma", {"subtract": [{"cls": "E", "param": "m", "hi": 1.0}]},
+             "cubic-i: bad value 1.0 for 'hi'"),
+            ("constraints", [{"cls": "P", "min": 0.0}], "cubic-i: bad value 0.0 for 'min'"),
+            ("expected_neg_kappa", {"per_d": 3.0, "const": 0},
+             "cubic-i: bad value 3.0 for 'per_d'"),
+            ("expected_neg_kappa", {"per_d": 3, "const": False},
+             "cubic-i: bad value False for 'const'"),
+            ("delegated", "no", "cubic-i: bad value 'no' for 'delegated'"),
+            ("gamma", {"base": None}, "cubic-i: bad value None for 'base'"),
+            ("mode", None, "cubic-i: bad value None for 'mode'"),
+            ("description", None, "cubic-i: bad value None for 'description'"),
+            ("gamma", {"subtract": [{"cls": None, "param": "m"}]},
+             "cubic-i: bad value None for 'cls'"),
+            ("constraints", [{"cls": None, "min": 0}], "cubic-i: bad value None for 'cls'"),
+            ("lattice", ["x"], r"cubic-i: bad value \['x'\] for 'lattice'"),
+            ("gamma", {"subtract": [{"cls": "E", "param": 7}]},
+             "cubic-i: bad value 7 for 'param'"),
+            ("hilbert_component_dims", [27, 29.0],
+             "cubic-i: hilbert_component_dims must hold integers"),
+            ("constraints", [["P", 0]], "cubic-i: expected an object, got list"),
+            ("gamma", {"subtract": [{"cls": "E1", "param": "m", "lo": -1}]},
+             "cubic-i: bad domain for parameter m"),
+            ("gamma", {"subtract": [{"cls": "E1", "param": "m", "lo": 2, "hi": 1}]},
+             "cubic-i: bad domain for parameter m"),
         ],
     )
     def test_malformed_record_names_itself(self, tmp_path, key, value, match):

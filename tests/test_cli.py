@@ -306,6 +306,19 @@ class TestVerify:
         assert rc == 0
         assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize("scope", ["cases", "kappa", "all"])
+    def test_csv_detail_is_the_rest_of_the_line(self, capsys, scope):
+        # details such as "max -kappa 15, documented 15" hold ", " and no cell
+        # is quoted, so the third column is everything after the second comma
+        _, out, _ = run(capsys, "verify", scope, "--format", "json")
+        checks = json.loads(out)["checks"]
+        want = [[c["id"], "pass" if c["ok"] else "FAIL", c["detail"]] for c in checks]
+        _, out, _ = run(capsys, "verify", scope, "--format", "csv")
+        header, *rows = out.splitlines()
+        assert header == "check_id,ok,detail"
+        assert [row.split(",", 2) for row in rows] == want
+        assert any(", " in detail for _, _, detail in want) == (scope != "cases")
+
     def test_failure_exits_one(self, capsys, monkeypatch):
         def broken():
             return VerificationReport(

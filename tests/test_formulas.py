@@ -73,6 +73,21 @@ class TestLinsysDim:
             assert linsys_dim(4, n) == arithmetic_genus(4, n)
 
 
+@pytest.mark.parametrize(
+    "fn,args,match",
+    [
+        (linsys_dim, (0, 1), "surface degree must be >= 1, got 0"),
+        (arithmetic_genus, (5, -1), "cutting degree must be >= 0, got -1"),
+        (clemens_min_genus, (6, 0), "cutting degree must be >= 1, got 0"),
+        (contiguity_holds, (6, 0), "cutting degree must be >= 1, got 0"),
+    ],
+    ids=["linsys_dim", "arithmetic_genus", "clemens_min_genus", "contiguity_holds"],
+)
+def test_rejects_degree_out_of_range(fn, args, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args)
+
+
 class TestArithmeticGenus:
     def test_documented_values(self):
         assert arithmetic_genus(6, 1) == 10

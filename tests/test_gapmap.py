@@ -51,6 +51,10 @@ class TestWindows:
         assert g92 == 64
         assert realizable_interval(9, 2) == Interval(g92 - 9, g92)
 
+    def test_rejects_cut_degree_zero(self):
+        with pytest.raises(ValueError, match="cutting degree must be >= 1, got 0"):
+            realizable_interval(6, 0)
+
     def test_width_is_system_dimension(self):
         for d in range(4, 30):
             for n in range(1, 15):
@@ -210,6 +214,7 @@ class TestDecompose:
     def test_documented_values(self):
         d4 = decompose(4)
         assert not d4.proved_gaps and not d4.unknown_candidates
+        assert initial_gap_interval(4) is None  # [0, d(d-3)/2 - 3] is [0, -1]
         d5 = decompose(5)
         assert d5.proved_gaps.to_pairs() == [[0, 2]]
         assert not d5.unknown_candidates

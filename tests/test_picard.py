@@ -261,6 +261,8 @@ class TestIntersect:
         lat = builtin_lattice("segre")
         with pytest.raises(ValueError):
             intersect(lat, DivisorClass((1, 0)), lat.cls("H"))
+        with pytest.raises(ValueError, match="rank mismatch: 1 vs 2"):
+            DivisorClass((1,)) + DivisorClass((1, 0))
 
     @given(lattice_and_classes())
     def test_matches_nested_oracle(self, drawn):

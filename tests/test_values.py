@@ -140,35 +140,6 @@ class CaseRecord:
         def fail(why: str) -> NoReturn:
             raise CaseDataError(f"{self.id}: {why}")
 
-        def need(value: object, kind: type, what: str, optional: bool = False) -> None:
-            if type(value) is not kind and not (optional and value is None):
-                fail(f"bad value {value!r} for {what}")
-
-        for what in ("id", "lattice", "base", "mode", "description"):
-            need(getattr(self, what), str, what)
-        for what, kind in (("params", SweepParam), ("constraints", SweepConstraint)):
-            need(getattr(self, what), tuple, what)
-            for entry in getattr(self, what):
-                need(entry, kind, f"entry of {what}")
-        need(self.n, int, "n")
-        need(self.family_dim, int, "family_dim")
-        need(self.threshold, int, "threshold", optional=True)
-        for what, values in (("hilbert_component_dims", self.hilbert_component_dims),
-                             ("expected_neg_kappa", self.expected_neg_kappa)):
-            need(values, tuple, what)
-            for value in values:
-                need(value, int, what)
-        if len(self.expected_neg_kappa) != 2:
-            fail("expected_neg_kappa must be (per_d, const)")
-        for p in self.params:
-            need(p.label, str, "label of a parameter")
-            need(p.cls, str, f"class of parameter {p.label}")
-            need(p.lo, int, f"lo of parameter {p.label}")
-            need(p.hi, int, f"hi of parameter {p.label}", optional=True)
-        for c in self.constraints:
-            need(c.cls, str, "class of a constraint")
-            need(c.min_value, int, f"min of constraint {c.cls}")
-        need(self.delegated, bool, "delegated")
         if self.family_dim < 0:
             fail("family_dim must be >= 0")
         if self.n not in (3, 4):
