@@ -9,9 +9,11 @@ against every classified surface family by an exact dimension count:
 
 * ``dim-count`` mode: family_dim + max{g, g-1-kappa} < cut_system_dim(n, d),
   where kappa is minimized (``-kappa`` maximized) over the family's curve
-  classes by exact enumeration of integer parameter points, with -kappa and
-  every constraint evaluated as linear forms whose coefficients are read
-  from the Gram matrix once, when the record is built, and kept on it;
+  classes exactly: integer points of every parameter but the last are
+  enumerated, and the last is taken in closed form, as -kappa is linear in
+  it and its admissible values form an interval.  -kappa and every
+  constraint are linear forms whose coefficients are read from the Gram
+  matrix once, when the record is built, and kept on it;
 * ``direct-dim`` mode: family_dim < threshold, for the one family whose
   kappa is too negative for the generic count.
 
@@ -443,14 +445,23 @@ def _linear_forms(
     )
 
 
+def _room(record: CaseRecord, d: int) -> tuple[int, ...]:
+    """room_j = d*(base . P_j) - min_j for each constraint pencil P_j.
+
+    gamma . P_j >= min_j iff sum_i v_i * (sub_i . P_j) <= room_j, so the box
+    and the admissible set of a sweep depend on d only through the room.
+    """
+    return tuple(d * bp - c.min_value for bp, c in zip(record.forms[2], record.constraints))
+
+
 def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
     """Exact maximum of -kappa over the family's admissible curve classes.
 
     For gamma = d*base - sum(v_i * sub_i), both -kappa = -K . gamma and each
     gamma . P_j are linear in the parameters v.  Their coefficients are read
     from the Gram matrix once, when the record is built, and kept on it as
-    ``record.forms``; the sweep enumerates a box of integer points and takes
-    the maximum over the admissible ones.
+    ``record.forms``.  The sweep enumerates a box of integer points for every
+    parameter but the last, and takes the last in closed form.
 
     The box holds every admissible point.  Parameters are >= 0 and each
     parameter class meets each constraint pencil non-negatively (the
@@ -461,23 +472,63 @@ def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
     ``hi`` bounds never affects admissibility, and the constructor has
     checked K . sub <= 0, so raising it cannot raise -kappa: it is pinned
     at ``lo``.
+
+    The closed form rests on the same signs.  With the other parameters
+    fixed, their use used_j of each room_j is fixed, and the admissible
+    values of the last parameter form one interval [lo, top]: top is the
+    box cap, lowered to (room_j - used_j) // c_j for each pencil with
+    c_j = sub_last . P_j > 0, and the interval is empty if a pencil with
+    c_j = 0 already has used_j > room_j.  -kappa is linear in the last
+    parameter with slope K . sub_last, so its maximum over the interval is
+    at top if that slope is > 0 and at lo otherwise.  A record with no
+    parameters has the one class d*base, admissible iff every room_j >= 0.
     """
-    k_base, k_subs, base_pencils, sub_pencils = record.forms
-    # gamma . P_j >= min_j  iff  sum_i v_i * (sub_i . P_j) <= room_j
-    room = [d * bp - c.min_value for bp, c in zip(base_pencils, record.constraints)]
-    columns = [[row[j] for row in sub_pencils] for j in range(len(room))]
+    k_base, k_subs, _, sub_pencils = record.forms
+    room = _room(record, d)
     ranges = []
     for p, coefs in zip(record.params, sub_pencils):
         caps = [r // coef for r, coef in zip(room, coefs) if coef > 0]
         if p.hi is not None:
             caps.append(p.hi)
         ranges.append(range(p.lo, min(caps, default=p.lo) + 1))
-    best = max((sum(map(mul, point, k_subs)) for point in itertools.product(*ranges)
-                if all(sum(map(mul, point, col)) <= r for col, r in zip(columns, room))),
-               default=None)
+    best = None
+    if not ranges:
+        if all(r >= 0 for r in room):
+            best = 0
+    else:
+        *outer, last = ranges
+        *outer_k, k_last = k_subs
+        columns = [[row[j] for row in sub_pencils[:-1]] for j in range(len(room))]
+        for point in itertools.product(*outer):
+            top = last.stop - 1
+            for col, r, coef in zip(columns, room, sub_pencils[-1]):
+                free = r - sum(map(mul, point, col))
+                if coef:
+                    top = min(top, free // coef)
+                elif free < 0:
+                    top = last.start - 1
+            if top >= last.start:
+                value = sum(map(mul, point, outer_k)) + k_last * (
+                    top if k_last > 0 else last.start)
+                if best is None or value > best:
+                    best = value
     if best is None:
         raise CaseDataError(f"{record.id}: no admissible curve class at d={d}")
     return best - d * k_base
+
+
+def _swept(record: CaseRecord, d: int, swept: dict[tuple[str, tuple[int, ...]], int]) -> int:
+    """``max_neg_canonical_degree(record, d)``, swept once per (record id, room).
+
+    -kappa = max - d*(K . base), where max, over the admissible points of
+    sum_i v_i * (K . sub_i), depends on d only through the room, so
+    ``swept`` keeps that max.
+    """
+    k_base = record.forms[0]
+    key = record.id, _room(record, d)
+    if key not in swept:
+        swept[key] = max_neg_canonical_degree(record, d) + d * k_base
+    return swept[key] - d * k_base
 
 
 def check_elimination(
@@ -493,7 +544,14 @@ def check_elimination(
     for g in genera:
         if (d, n, g) not in _RESTRICTED:
             raise ValueError(f"({d}, {n}, {g}) is not a restricted triple")
-    neg_kappa = max_neg_canonical_degree(record, d)
+    return _elimination_checks(record, d, genera, max_neg_canonical_degree(record, d))
+
+
+def _elimination_checks(
+    record: CaseRecord, d: int, genera: tuple[int, ...], neg_kappa: int
+) -> tuple[EliminationCheck, ...]:
+    """The checks of ``check_elimination``, given the -kappa of (record, d)."""
+    n = record.n
     checks = []
     for g in genera:
         v_bound = family_dim_bound(g, -neg_kappa)
@@ -520,18 +578,31 @@ def check_elimination(
     return tuple(checks)
 
 
-def _eliminations(records: tuple[CaseRecord, ...]) -> list[EliminationCheck]:
+def _eliminations(
+    records: tuple[CaseRecord, ...], swept: dict[tuple[str, tuple[int, ...]], int] | None = None
+) -> list[EliminationCheck]:
     """Every family against every restricted triple, in report order.
 
-    Each check carries its (record id, d) key in ``case_id`` and ``d``.
+    ``swept`` is the calling ``verify_*``'s memo of ``_swept``.  A (record, d)
+    run whose room is not in it goes through ``check_elimination``, and its
+    sweep enters the memo; any other run takes -kappa from the memo.
     """
+    swept = {} if swept is None else swept
     triples = restricted_triples()
     checks = []
     for record in _by_id(records):
+        k_base = record.forms[0]
         # triples are sorted by d, so each degree's genera come in one run
         ours = (t for t in triples if t[1] == record.n)
         for d, run in itertools.groupby(ours, key=lambda t: t[0]):
-            checks.extend(check_elimination(record, d, tuple(g for _, _, g in run)))
+            genera = tuple(g for _, _, g in run)
+            key = record.id, _room(record, d)
+            if key in swept:
+                checks.extend(_elimination_checks(record, d, genera, swept[key] - d * k_base))
+            else:
+                found = check_elimination(record, d, genera)
+                swept[key] = found[0].max_neg_kappa + d * k_base
+                checks.extend(found)
     return checks
 
 
@@ -550,21 +621,17 @@ def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> Verificat
 
 
 def _kappa_checks(
-    records: tuple[CaseRecord, ...], known: dict[tuple[str, int], int] | None = None
+    records: tuple[CaseRecord, ...], swept: dict[tuple[str, tuple[int, ...]], int]
 ) -> list[CheckResult]:
     """Swept -kappa against the documented bound at the audit degrees.
 
-    ``known`` maps (record id, d) to a -kappa already swept within the same
-    call, which is taken instead of sweeping again.
+    ``swept`` is the calling ``verify_*``'s memo of ``_swept``.
     """
-    known = known or {}
     checks = []
     for record in _by_id(records):
         degrees = range(5, 21) if record.n == 3 else (6,)
         for d in degrees:
-            got = known.get((record.id, d))
-            if got is None:
-                got = max_neg_canonical_degree(record, d)
+            got = _swept(record, d, swept)
             want = expected_neg_kappa(record, d)
             checks.append(
                 CheckResult(
@@ -609,19 +676,21 @@ def _lattice_checks() -> list[CheckResult]:
 def verify_kappa(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
     """Audit the lattice engine: documented kappa bounds, K^2 values, adjunction."""
     records = load_cases() if cases is None else cases
-    return VerificationReport(checks=tuple(_kappa_checks(records) + _lattice_checks()))
+    return VerificationReport(checks=tuple(_kappa_checks(records, {}) + _lattice_checks()))
 
 
 def verify_all(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
-    """The elimination checks, then the audit; each (record, d) is swept once.
+    """The elimination checks, then the audit; each (record, room) is swept once.
 
-    The elimination's (record, d) pairs lie among the audit degrees, so the
-    audit takes their -kappa from the elimination checks of this call.
+    The elimination and the audit share one memo of ``_swept``, keyed by
+    (record id, room).  A constraint-free family has the empty room at every
+    d, so it is swept once for all its degrees, and the audit finds every
+    elimination sweep in the memo.
     """
     records = load_cases() if cases is None else cases
-    eliminations = _eliminations(records)
-    known = {(res.case_id, res.d): res.max_neg_kappa for res in eliminations}
+    swept: dict[tuple[str, tuple[int, ...]], int] = {}
+    eliminations = _eliminations(records, swept)
     return VerificationReport(
         checks=tuple(map(_elimination_result, eliminations))
-        + tuple(_kappa_checks(records, known) + _lattice_checks())
+        + tuple(_kappa_checks(records, swept) + _lattice_checks())
     )

@@ -651,19 +651,56 @@ class TestSweepAgainstClassSweep:
         for d in sorted({*audit, 6, 7, 8}):
             assert max_neg_canonical_degree(record, d) == class_sweep_max_neg_kappa(record, d)
 
+    @pytest.mark.parametrize(
+        "case_id", sorted(r.id for r in load_cases() if len(r.params) > 1)
+    )
+    def test_every_parameter_in_the_closed_form_slot(self, case_id):
+        # the sweep takes its last parameter in closed form: rotate each
+        # parameter into that slot, one with K . sub > 0 and one with
+        # K . sub = 0 among them
+        record = by_id(case_id)
+        params = record.params
+        for shift in range(len(params)):
+            rotated = rebuild(record, params=params[shift:] + params[:shift])
+            for d in range(2, 11):
+                assert max_neg_canonical_degree(rotated, d) == class_sweep_max_neg_kappa(
+                    rotated, d
+                )
+
+    def test_closed_form_slot_sees_both_slopes(self):
+        # the rotations above put a parameter of each slope sign last
+        k_subs = {k for r in load_cases() if len(r.params) > 1 for k in r.forms[1]}
+        assert 0 in k_subs and any(k > 0 for k in k_subs)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_redrawn_bounds(self, data):
         record = data.draw(st.sampled_from(load_cases()), label="record")
+        d = data.draw(st.integers(2, 30), label="d")
+        params = record.params
+        if params:
+            # rotated, so that each parameter takes the closed-form slot, and
+            # sometimes led by a copy of one, so that two parameters before the
+            # last can overrun a room that each fits alone
+            shift = data.draw(st.integers(0, len(params) - 1), label="rotation")
+            copied = data.draw(st.lists(st.sampled_from(params), max_size=1), label="copied")
+            params = (*copied, *params[shift:], *params[:shift])
+        if data.draw(st.integers(0, 4), label="keep params") == 0:
+            params = ()
         params = tuple(
             rebuild(p, hi=data.draw(st.none() | st.integers(p.lo, p.lo + 12), label=p.label))
-            for p in record.params
+            for p in params
+        )
+        # each min from 0 to 8 past d*(base . pencil): some rooms are negative,
+        # some leave no admissible class at all
+        constraints = tuple(
+            rebuild(c, min_value=data.draw(st.integers(0, max(d * bp, 0) + 8), label=c.cls))
+            for c, bp in zip(record.constraints, record.forms[2])
         )
         try:
-            record = rebuild(record, params=params)
+            record = rebuild(record, params=params, constraints=constraints)
         except CaseDataError:
             assume(False)
-        d = data.draw(st.integers(2, 30), label="d")
         assert outcome(max_neg_canonical_degree, record, d) == outcome(
             class_sweep_max_neg_kappa, record, d
         )
@@ -789,15 +826,21 @@ class TestVerify:
             seen.add((d, n, g))
         assert seen == set(THIRTEEN)
 
-    def test_one_sweep_per_family_and_degree(self, monkeypatch):
+    def test_one_sweep_per_family_and_room(self, monkeypatch):
         swept = []
         real = case_mod.max_neg_canonical_degree
-        monkeypatch.setattr(
-            case_mod, "max_neg_canonical_degree",
-            lambda record, d: swept.append((record.id, d)) or real(record, d),
-        )
+
+        def sweep(record, d):
+            forms = record.forms[2]
+            swept.append((record.id, tuple(d * bp - c.min_value
+                                           for bp, c in zip(forms, record.constraints))))
+            return real(record, d)
+
+        monkeypatch.setattr(case_mod, "max_neg_canonical_degree", sweep)
         verify_elimination()
-        assert len(swept) == len(set(swept)) == 40  # 8 cubic families x 3 + 16 quartic x 1
+        # the 8 cubic families have no constraint, so one room at d = 6, 7, 8;
+        # the 16 quartic families are swept at d = 6 only
+        assert len(swept) == len(set(swept)) == 8 + 16
 
     def test_verify_all_work_counts(self, monkeypatch):
         counts = {"max_neg_canonical_degree": 0, "check_elimination": 0, "intersect": 0,
@@ -815,11 +858,12 @@ class TestVerify:
         for name in counts:
             monkeypatch.setattr(case_mod, name, counted(name))
         verify_all()
-        # the audit's 8 cubic families x 16 degrees + 16 quartic families x 1;
-        # the 40 elimination sweeps, one per (family, degree) run, are among
-        # them and serve the audit too
-        assert counts["max_neg_canonical_degree"] == 8 * 16 + 16
-        assert counts["check_elimination"] == 40
+        # one sweep per (family, room): the 8 cubic families have no
+        # constraint, so one room at all 16 audit degrees, and the 16 quartic
+        # families are audited at d = 6 only.  The elimination makes all 24,
+        # each through check_elimination, and the audit finds them swept
+        assert counts["max_neg_canonical_degree"] == 8 + 16
+        assert counts["check_elimination"] == 8 + 16
         # the Gram readings: 70 as the 24 records are constructed, none in
         # the 144 sweeps, which read the forms kept on the records, and 21 for
         # the lattices' K.K; the 11 lattices with a surface degree are audited
@@ -838,7 +882,9 @@ class TestVerify:
         for record in load_cases():
             for d in range(5, 21) if record.n == 3 else (6,):
                 max_neg_canonical_degree(record, d)
-        assert points == 767  # box points at the audit degrees
+        # outer points at the audit degrees: the box over every parameter
+        # but the last, which is taken in closed form
+        assert points == 132
 
     @pytest.mark.parametrize("verify", [verify_elimination, verify_kappa, verify_all])
     def test_verify_rejects_duplicate_ids(self, verify):
@@ -992,6 +1038,16 @@ class TestLatticeAudit:
 class TestSharedSweeps:
     def test_shipped_table(self):
         assert verify_all().checks == verify_elimination().checks + verify_kappa().checks
+
+    @pytest.mark.parametrize("verify", [verify_kappa, verify_all])
+    def test_room_sharing_keeps_each_degree(self, verify):
+        # a sweep is shared by every degree with the same room: each audit
+        # degree must still get its own -kappa, as a direct sweep gives it
+        details = {c.check_id: c.detail for c in verify().checks}
+        for record in load_cases():
+            for d in range(5, 21) if record.n == 3 else (6,):
+                got = details[f"kappa/{record.id}/d{d}"].split(",")[0]
+                assert got == f"max -kappa {max_neg_canonical_degree(record, d)}"
 
     def test_doctored_kappa_fails_in_both(self):
         cubic = by_id("cubic-ii.b-ddag")
