@@ -311,81 +311,100 @@ class VerificationReport(Value):
 
 
 def load_cases(path: str | Path | None = None) -> tuple[CaseRecord, ...]:
-    """Case records from an external JSON file, or the embedded table."""
+    """Case records from an external JSON file, or the embedded table.
+
+    The file is read as UTF-8.  Bytes that are not UTF-8, and text that is
+    not JSON or nests too deep for the parser, raise ``CaseDataError``.
+    """
     if path is None:
-        text = resources.files("genusgaps").joinpath("data/cases.json").read_text()
+        data = resources.files("genusgaps").joinpath("data/cases.json").read_bytes()
     else:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     try:
-        doc = json.loads(text)
-    except ValueError as exc:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise CaseDataError(f"case table is not valid JSON: {exc}") from None
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise CaseDataError(f"unsupported case schema {version!r}, expected {SCHEMA_VERSION!r}")
     if not isinstance(doc.get("cases"), list):
         raise CaseDataError("case table has no 'cases' list")
-    records = tuple(_parse_record(raw, pos) for pos, raw in enumerate(doc["cases"]))
+    records = tuple([_parse_record(raw, pos) for pos, raw in enumerate(doc["cases"])])
     _by_id(records)
     return records
 
 
 _REQUIRED = object()
 
+# (key, exact types, default) of each kind of JSON object in a record, in
+# the order the reader checks them; _REQUIRED marks a key that must be
+# present.  Exact types, so that an int field takes no bool.
+_RECORD_KEYS = (
+    ("gamma", (dict,), _REQUIRED),
+    ("expected_neg_kappa", (dict,), _REQUIRED),
+    ("hilbert_component_dims", (list,), ()),
+    ("id", (str,), _REQUIRED),
+    ("n", (int,), _REQUIRED),
+    ("lattice", (str,), _REQUIRED),
+    ("constraints", (list,), ()),
+    ("family_dim", (int,), _REQUIRED),
+    ("mode", (str,), _REQUIRED),
+    ("threshold", (int, type(None)), None),
+    ("description", (str,), ""),
+    ("delegated", (bool,), False),
+)
+_GAMMA_KEYS = (("base", (str,), "H"), ("subtract", (list,), ()))
+_SUBTRACT_KEYS = (  # in SweepParam's argument order
+    ("param", (str,), _REQUIRED),
+    ("cls", (str,), _REQUIRED),
+    ("lo", (int,), 0),
+    ("hi", (int, type(None)), None),
+)
+_CONSTRAINT_KEYS = (("cls", (str,), _REQUIRED), ("min", (int,), _REQUIRED))
+_NEG_KAPPA_KEYS = (("per_d", (int,), _REQUIRED), ("const", (int,), _REQUIRED))
+
+
+def _fields(
+    obj: object, keys: tuple[tuple[str, tuple[type, ...], object], ...], name: str
+) -> list:
+    """The value of each key of ``keys`` in the JSON object ``obj``, or its default."""
+    if not isinstance(obj, dict):
+        raise CaseDataError(f"{name}: expected an object, got {type(obj).__name__}")
+    out = []
+    for key, kinds, default in keys:
+        if key in obj:
+            value = obj[key]
+            if type(value) not in kinds:
+                raise CaseDataError(f"{name}: bad value {value!r} for {key!r}")
+        elif default is _REQUIRED:
+            raise CaseDataError(f"{name}: missing key {key!r}")
+        else:
+            value = default
+        out.append(value)
+    return out
+
 
 def _parse_record(raw: object, pos: int) -> CaseRecord:
     """The record encoded by one JSON object of the ``cases`` list.
 
-    The one type check of a record: a missing key or a value of the wrong JSON
-    type raises ``CaseDataError`` naming the record by its ``id``, or by its
-    position if that is no string.
+    The one type check of a record: each JSON object in it is read in one
+    pass over its key table, and the first missing key or value of the
+    wrong JSON type raises ``CaseDataError`` naming the record by its
+    ``id``, or by its position if that is no string.
     """
     name = raw.get("id") if isinstance(raw, dict) else None
     name = name if isinstance(name, str) else f"cases[{pos}]"
-
-    def get(obj: object, key: str, *kinds: type, default: object = _REQUIRED):
-        # exact types, so that an int field takes no bool
-        if not isinstance(obj, dict):
-            raise CaseDataError(f"{name}: expected an object, got {type(obj).__name__}")
-        if key not in obj:
-            if default is _REQUIRED:
-                raise CaseDataError(f"{name}: missing key {key!r}")
-            return default
-        if type(obj[key]) not in kinds:
-            raise CaseDataError(f"{name}: bad value {obj[key]!r} for {key!r}")
-        return obj[key]
-
-    gamma = get(raw, "gamma", dict)
-    nk = get(raw, "expected_neg_kappa", dict)
-    dims = get(raw, "hilbert_component_dims", list, default=[])
+    (gamma, neg_kappa, dims, case_id, n, lattice, constraints, family_dim, mode, threshold,
+     description, delegated) = _fields(raw, _RECORD_KEYS, name)
     if any(type(v) is not int for v in dims):
         raise CaseDataError(f"{name}: hilbert_component_dims must hold integers")
-    return CaseRecord(
-        id=get(raw, "id", str),
-        n=get(raw, "n", int),
-        lattice=get(raw, "lattice", str),
-        base=get(gamma, "base", str, default="H"),
-        params=tuple(
-            SweepParam(
-                label=get(s, "param", str),
-                cls=get(s, "cls", str),
-                lo=get(s, "lo", int, default=0),
-                hi=get(s, "hi", int, type(None), default=None),
-            )
-            for s in get(gamma, "subtract", list, default=[])
-        ),
-        constraints=tuple(
-            SweepConstraint(cls=get(c, "cls", str), min_value=get(c, "min", int))
-            for c in get(raw, "constraints", list, default=[])
-        ),
-        family_dim=get(raw, "family_dim", int),
-        mode=get(raw, "mode", str),
-        threshold=get(raw, "threshold", int, type(None), default=None),
-        hilbert_component_dims=tuple(dims),
-        expected_neg_kappa=(get(nk, "per_d", int), get(nk, "const", int)),
-        description=get(raw, "description", str, default=""),
-        delegated=get(raw, "delegated", bool, default=False),
-    )
+    base, subtract = _fields(gamma, _GAMMA_KEYS, name)
+    params = tuple([SweepParam(*_fields(s, _SUBTRACT_KEYS, name)) for s in subtract])
+    constraints = tuple([SweepConstraint(*_fields(c, _CONSTRAINT_KEYS, name))
+                         for c in constraints])
+    per_d, const = _fields(neg_kappa, _NEG_KAPPA_KEYS, name)
+    return CaseRecord(case_id, n, lattice, base, params, constraints, family_dim, mode,
+                      threshold, tuple(dims), (per_d, const), description, delegated)
 
 
 def _by_id(records: tuple[CaseRecord, ...]) -> list[CaseRecord]:
@@ -430,18 +449,24 @@ def _linear_forms(
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """K . base, K . sub_i, base . P_j, and sub_i . P_j as one row per parameter.
 
-    Read from the Gram matrix once per record, by the ``CaseRecord``
-    constructor, which keeps them as ``forms``; an unknown class label
-    raises ``KeyError``.
+    Read once per record, by the ``CaseRecord`` constructor, which keeps
+    them as ``forms``.  Every label resolves through ``lat.cls``, base
+    first, then the parameters and the pencils, so an unknown one raises
+    its ``KeyError``; each product is then one dot product of the left
+    factor's Gram row, kept on the lattice, with the right factor's
+    coefficients.
     """
-    base = lat.cls(record.base)
-    subs = [lat.cls(p.cls) for p in record.params]
-    pencils = [lat.cls(c.cls) for c in record.constraints]
+    base = lat.cls(record.base).coeffs
+    subs = [lat.cls(p.cls).coeffs for p in record.params]
+    pencils = [lat.cls(c.cls).coeffs for c in record.constraints]
+    k, rows = lat.canonical_row, lat.rows
+    base_row = rows[record.base]
     return (
-        intersect(lat, lat.canonical, base),
-        tuple(intersect(lat, lat.canonical, sub) for sub in subs),
-        tuple(intersect(lat, base, pencil) for pencil in pencils),
-        tuple(tuple(intersect(lat, sub, pencil) for pencil in pencils) for sub in subs),
+        sum(map(mul, k, base)),
+        tuple([sum(map(mul, k, sub)) for sub in subs]),
+        tuple([sum(map(mul, base_row, pencil)) for pencil in pencils]),
+        tuple([tuple([sum(map(mul, rows[p.cls], pencil)) for pencil in pencils])
+               for p in record.params]),
     )
 
 
@@ -451,7 +476,7 @@ def _room(record: CaseRecord, d: int) -> tuple[int, ...]:
     gamma . P_j >= min_j iff sum_i v_i * (sub_i . P_j) <= room_j, so the box
     and the admissible set of a sweep depend on d only through the room.
     """
-    return tuple(d * bp - c.min_value for bp, c in zip(record.forms[2], record.constraints))
+    return tuple([d * bp - c.min_value for bp, c in zip(record.forms[2], record.constraints)])
 
 
 def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
@@ -551,30 +576,16 @@ def _elimination_checks(
     record: CaseRecord, d: int, genera: tuple[int, ...], neg_kappa: int
 ) -> tuple[EliminationCheck, ...]:
     """The checks of ``check_elimination``, given the -kappa of (record, d)."""
-    n = record.n
+    case_id, n, mode, family_dim, delegated = (
+        record.id, record.n, record.mode, record.family_dim, record.delegated)
+    direct = mode == "direct-dim"
+    rhs = record.threshold if direct else cut_system_dim(n, d)
     checks = []
     for g in genera:
         v_bound = family_dim_bound(g, -neg_kappa)
-        if record.mode == "direct-dim":
-            lhs, rhs = record.family_dim, record.threshold
-        else:
-            lhs, rhs = record.family_dim + v_bound, cut_system_dim(n, d)
-        checks.append(
-            EliminationCheck(
-                case_id=record.id,
-                d=d,
-                n=n,
-                g=g,
-                mode=record.mode,
-                family_dim=record.family_dim,
-                max_neg_kappa=neg_kappa,
-                v_bound=v_bound,
-                lhs=lhs,
-                rhs=rhs,
-                ok=lhs < rhs,
-                delegated=record.delegated,
-            )
-        )
+        lhs = family_dim if direct else family_dim + v_bound
+        checks.append(EliminationCheck(case_id, d, n, g, mode, family_dim, neg_kappa, v_bound,
+                                       lhs, rhs, lhs < rhs, delegated))
     return tuple(checks)
 
 
@@ -607,11 +618,8 @@ def _eliminations(
 
 
 def _elimination_result(res: EliminationCheck) -> CheckResult:
-    return CheckResult(
-        check_id=f"eliminate/{res.case_id}/d{res.d}-n{res.n}-g{res.g}",
-        ok=res.ok,
-        detail=res.detail(),
-    )
+    check_id = f"eliminate/{res.case_id}/d{res.d}-n{res.n}-g{res.g}"
+    return CheckResult(check_id, res.ok, res.detail())
 
 
 def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
@@ -629,17 +637,11 @@ def _kappa_checks(
     """
     checks = []
     for record in _by_id(records):
-        degrees = range(5, 21) if record.n == 3 else (6,)
-        for d in degrees:
-            got = _swept(record, d, swept)
-            want = expected_neg_kappa(record, d)
-            checks.append(
-                CheckResult(
-                    check_id=f"kappa/{record.id}/d{d}",
-                    ok=got == want,
-                    detail=f"max -kappa {got}, documented {want}",
-                )
-            )
+        case_id = record.id
+        for d in range(5, 21) if record.n == 3 else (6,):
+            got, want = _swept(record, d, swept), expected_neg_kappa(record, d)
+            checks.append(CheckResult(f"kappa/{case_id}/d{d}", got == want,
+                                      f"max -kappa {got}, documented {want}"))
     return checks
 
 
@@ -647,13 +649,8 @@ def _lattice_checks() -> list[CheckResult]:
     checks = []
     for lat in sorted(BUILTINS, key=lambda lat: lat.name):
         k2 = intersect(lat, lat.canonical, lat.canonical)
-        checks.append(
-            CheckResult(
-                check_id=f"lattice/{lat.name}/K2",
-                ok=k2 == lat.k2,
-                detail=f"K.K = {k2}, documented {lat.k2}",
-            )
-        )
+        checks.append(CheckResult(f"lattice/{lat.name}/K2", k2 == lat.k2,
+                                  f"K.K = {k2}, documented {lat.k2}"))
     # adjunction ties the lattice models back to the closed-form genus.  As
     # intersect is bilinear, p_a(d*H) and the genus formula are polynomials of
     # degree <= 2 in d, both 1 at d = 0: agreeing at d = 1 and 2, they agree
@@ -662,14 +659,9 @@ def _lattice_checks() -> list[CheckResult]:
     for lat in sorted((lat for lat in BUILTINS if lat.degree), key=lambda lat: lat.degree):
         h = lat.cls("H")
         ok = all(adjunction_genus(lat, d * h) == arithmetic_genus(lat.degree, d) for d in (1, 2))
-        checks.append(
-            CheckResult(
-                check_id=f"adjunction/{lat.name}",
-                ok=ok,
-                detail=f"p_a(d*H) matches the degree-{lat.degree} genus formula"
-                " for d in 1..30",
-            )
-        )
+        checks.append(CheckResult(
+            f"adjunction/{lat.name}", ok,
+            f"p_a(d*H) matches the degree-{lat.degree} genus formula for d in 1..30"))
     return checks
 
 

@@ -26,7 +26,12 @@ gives the same namespace.
 JSON is written by the module's own emitter, ``_json``, whose output is
 byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)``:
 with ``indent`` set, ``json.dumps`` runs its pure-Python encoder, which
-cost more than building the record for a large decomposition.
+cost more than building the record for a large decomposition.  Two kinds
+of list are written through one %-template for all their items: int
+lists of one length, such as the interval pairs of a decomposition, and
+dicts that share one non-empty key set and hold only str, int, bool or
+None, such as the checks of a verify report.  Any other list is written
+item by item.
 """
 
 from __future__ import annotations
@@ -151,10 +156,8 @@ def _json(value: object, pad: str) -> str:
     Dict keys are str, as in every record.  Strings go through the C
     escaper ``json.dumps`` itself uses under ``ensure_ascii``, ints (not
     bools) through ``int.__repr__``, and any other scalar through
-    ``json.dumps``.  A list of int lists of one length, such as the
-    interval pairs of a decomposition, is rendered with one ``%d``
-    template; its types and lengths are checked at C speed first, so a
-    bool or float inside falls back to the general path.
+    ``json.dumps``.  A list of flat rows of one shape is rendered through
+    one %-template (``_templated``); any other list goes item by item.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -178,18 +181,45 @@ def _json(value: object, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if (
-            set(map(type, value)) == {list}
-            and len(widths := set(map(len, value))) == 1
-            and set(map(type, chain.from_iterable(value))) == {int}
-        ):
-            cell = inner + "  "
-            row = "[\n" + cell + (",\n" + cell).join(["%d"] * widths.pop()) + "\n" + inner + "]"
-            body = sep.join(map(row.__mod__, map(tuple, value)))
-        else:
+        body = _templated(value, inner)
+        if body is None:
             body = sep.join(_json(item, inner) for item in value)
         return "[\n" + inner + body + "\n" + pad + "]"
     return json.dumps(value)
+
+
+_FLAT = {str, int, bool, type(None)}  # the exact types a templated dict row may hold
+
+
+def _templated(items: list | tuple, inner: str) -> str | None:
+    """The items of a non-empty list at ``inner``, written by one %-template, or None.
+
+    The two shapes are those the module docstring names: a pair cell goes
+    through ``%d``, a dict value through ``_json``.  Types are checked
+    exactly first, so a bool or float in a pair list, a float or nested
+    value in a dict, or an item or value of a subclass gets None.
+    """
+    kinds = set(map(type, items))
+    cell = inner + "  "
+    if kinds == {list}:
+        widths = set(map(len, items))
+        cells = list(chain.from_iterable(items))
+        if len(widths) != 1 or set(map(type, cells)) != {int}:
+            return None
+        row = "[\n" + cell + (",\n" + cell).join(["%d"] * widths.pop()) + "\n" + inner + "]"
+    elif kinds == {dict} and len(key_sets := set(map(frozenset, items))) == 1:
+        keys = sorted(key_sets.pop())
+        cells = [item[key] for item in items for key in keys]
+        if not keys or not set(map(type, cells)) <= _FLAT:
+            return None
+        cells = [_json(v, "") for v in cells]
+        # a key is written into the template, so its % signs are doubled
+        row = "{\n" + cell + (",\n" + cell).join(
+            [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+        ) + "\n" + inner + "}"
+    else:
+        return None
+    return (",\n" + inner).join([row] * len(items)) % tuple(cells)
 
 
 def _certificate_json(cert: Certificate | None) -> dict | None:

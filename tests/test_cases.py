@@ -6,14 +6,17 @@ import copy
 import itertools
 import json
 import pickle
+import subprocess
+import sys
 from importlib import resources
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from test_values import rebuild
+from test_values import linear_forms_by_intersect, rebuild
 
 import genusgaps.cases as case_mod
 from genusgaps.cases import (
@@ -97,6 +100,76 @@ def mutation_sites(raw: dict):
     yield raw["expected_neg_kappa"]
 
 
+# The case-record reader as it stood before the one-pass key tables, kept
+# verbatim (bar the name of the entry point) as the differential oracle: it
+# reads every key through the nested ``get`` helper.
+
+_REQUIRED = object()
+
+
+def oracle_parse_record(raw: object, pos: int) -> CaseRecord:
+    """The record encoded by one JSON object of the ``cases`` list.
+
+    The one type check of a record: a missing key or a value of the wrong JSON
+    type raises ``CaseDataError`` naming the record by its ``id``, or by its
+    position if that is no string.
+    """
+    name = raw.get("id") if isinstance(raw, dict) else None
+    name = name if isinstance(name, str) else f"cases[{pos}]"
+
+    def get(obj: object, key: str, *kinds: type, default: object = _REQUIRED):
+        # exact types, so that an int field takes no bool
+        if not isinstance(obj, dict):
+            raise CaseDataError(f"{name}: expected an object, got {type(obj).__name__}")
+        if key not in obj:
+            if default is _REQUIRED:
+                raise CaseDataError(f"{name}: missing key {key!r}")
+            return default
+        if type(obj[key]) not in kinds:
+            raise CaseDataError(f"{name}: bad value {obj[key]!r} for {key!r}")
+        return obj[key]
+
+    gamma = get(raw, "gamma", dict)
+    nk = get(raw, "expected_neg_kappa", dict)
+    dims = get(raw, "hilbert_component_dims", list, default=[])
+    if any(type(v) is not int for v in dims):
+        raise CaseDataError(f"{name}: hilbert_component_dims must hold integers")
+    return CaseRecord(
+        id=get(raw, "id", str),
+        n=get(raw, "n", int),
+        lattice=get(raw, "lattice", str),
+        base=get(gamma, "base", str, default="H"),
+        params=tuple(
+            SweepParam(
+                label=get(s, "param", str),
+                cls=get(s, "cls", str),
+                lo=get(s, "lo", int, default=0),
+                hi=get(s, "hi", int, type(None), default=None),
+            )
+            for s in get(gamma, "subtract", list, default=[])
+        ),
+        constraints=tuple(
+            SweepConstraint(cls=get(c, "cls", str), min_value=get(c, "min", int))
+            for c in get(raw, "constraints", list, default=[])
+        ),
+        family_dim=get(raw, "family_dim", int),
+        mode=get(raw, "mode", str),
+        threshold=get(raw, "threshold", int, type(None), default=None),
+        hilbert_component_dims=tuple(dims),
+        expected_neg_kappa=(get(nk, "per_d", int), get(nk, "const", int)),
+        description=get(raw, "description", str, default=""),
+        delegated=get(raw, "delegated", bool, default=False),
+    )
+
+
+def load_outcome(path) -> tuple[CaseRecord, ...] | str:
+    """``load_cases(path)``, or the message of the ``CaseDataError`` it raises."""
+    try:
+        return load_cases(path)
+    except CaseDataError as exc:
+        return f"CaseDataError: {exc}"
+
+
 def allowed_cutting_degrees(d: int, g: int) -> set[int]:
     """Cutting degrees n >= 3 not excluded by the genus lower bound.
 
@@ -177,7 +250,7 @@ class TestAllowedCuttingDegrees:
 class TestRecordForms:
     def test_forms_are_the_gram_readings(self):
         for record in load_cases():
-            want = _linear_forms(record, builtin_lattice(record.lattice))
+            want = linear_forms_by_intersect(record, builtin_lattice(record.lattice))
             k_base, k_subs, base_pencils, sub_pencils = record.forms
             assert record.forms == want, record.id
             assert type(record.forms) is tuple and type(k_base) is int, record.id
@@ -188,7 +261,8 @@ class TestRecordForms:
             if not record.params:
                 continue
             shorter = rebuild(record, params=record.params[:-1])
-            assert shorter.forms == _linear_forms(shorter, builtin_lattice(shorter.lattice))
+            lat = builtin_lattice(shorter.lattice)
+            assert shorter.forms == linear_forms_by_intersect(shorter, lat)
             assert shorter.forms[1] == record.forms[1][:-1], record.id
             assert shorter.forms[3] == record.forms[3][:-1], record.id
         record = by_id("quartic-K3")
@@ -439,22 +513,59 @@ class TestCaseTable:
     )
     @given(st.data())
     def test_mutated_table_loads_or_raises_case_data_error(self, tmp_path, data):
+        # the reader and the Gram-row forms load equal records or raise the
+        # same message as their oracles; "K", a basis label of the record's
+        # lattice and a class name only another lattice has must all resolve
+        # through lat.cls
         doc = copy.deepcopy(SHIPPED)
         raw = data.draw(st.sampled_from(doc["cases"]), label="record")
         site = data.draw(st.sampled_from(list(mutation_sites(raw))), label="object")
         key = data.draw(st.sampled_from(sorted(site)), label="key")
-        value = data.draw(st.sampled_from([DELETE, None, "x", 1.5, True, [], {}, -1]))
+        lat = builtin_lattice(raw["lattice"])
+        foreign = sorted({label for other in BUILTINS for label in other.named}
+                         - {*lat.named, *lat.basis})
+        value = data.draw(st.sampled_from([
+            DELETE, None, "x", 1.5, True, [], {}, -1, "K",
+            data.draw(st.sampled_from(lat.basis), label="basis label"),
+            data.draw(st.sampled_from(foreign), label="foreign class"),
+        ]))
         if value is DELETE:
             del site[key]
         else:
             site[key] = value
         path = tmp_path / "cases.json"
         path.write_text(json.dumps(doc))
-        try:
-            records = load_cases(path)
-        except CaseDataError:
-            return
-        assert len(records) == 24
+        got = load_outcome(path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(case_mod, "_parse_record", oracle_parse_record)
+            patch.setattr(case_mod, "_linear_forms", linear_forms_by_intersect)
+            want = load_outcome(path)
+        assert got == want
+        if not isinstance(got, str):
+            assert len(got) == 24
+            assert [r.forms for r in got] == [r.forms for r in want]
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe\x00", b"[" * 100_000],
+                             ids=["not-utf8", "too-deep"])
+    def test_unreadable_bytes_raise_case_data_error(self, tmp_path, data):
+        path = tmp_path / "cases.json"
+        path.write_bytes(data)
+        with pytest.raises(CaseDataError, match="^case table is not valid JSON: [^\n]*$"):
+            load_cases(path)
+
+    def test_reads_utf8_not_the_locale_encoding(self, tmp_path):
+        # neither branch of load_cases may read with the locale's encoding
+        path = tmp_path / "cases.json"
+        path.write_bytes(resources.files("genusgaps").joinpath("data/cases.json").read_bytes())
+        src = str(Path(case_mod.__file__).resolve().parent.parent)
+        code = (f"import sys; sys.path.insert(0, {src!r}); from genusgaps.cases import load_cases;"
+                " assert load_cases() == load_cases(sys.argv[1])")
+        proc = subprocess.run(
+            [sys.executable, "-I", "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", code, str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def oracle_max_neg_kappa(record: CaseRecord, d: int, box: int) -> int:
@@ -864,11 +975,11 @@ class TestVerify:
         # each through check_elimination, and the audit finds them swept
         assert counts["max_neg_canonical_degree"] == 8 + 16
         assert counts["check_elimination"] == 8 + 16
-        # the Gram readings: 70 as the 24 records are constructed, none in
-        # the 144 sweeps, which read the forms kept on the records, and 21 for
-        # the lattices' K.K; the 11 lattices with a surface degree are audited
-        # by adjunction at d = 1 and d = 2
-        assert counts["intersect"] == 70 + 21
+        # intersect only audits the lattices' K.K: the 24 records read their
+        # forms from the Gram rows the lattices keep, and the 144 sweeps read
+        # the forms kept on the records; the 11 lattices with a surface degree
+        # are audited by adjunction at d = 1 and d = 2
+        assert counts["intersect"] == 21
         assert counts["adjunction_genus"] == 2 * 11
         points = 0
 

@@ -502,12 +502,35 @@ def _spoiled_pairs(draw):
     return rows
 
 
+# what a templated dict row may hold, with keys and strings that need escaping
+# or carry a % sign into the template
+_FLAT_KEYS = st.text() | st.sampled_from(["%s", "%", "%%d", "\u00e9", '"\\', "\n"])
+_FLAT_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+                 | st.text() | st.sampled_from(["%s", "%d", "\u00e9\u2028", '"\\\n', "\x00"]))
+
+
+@st.composite
+def _flat_records(draw):
+    """Dicts sharing one key set, each in its own key order, some with one value or key spoiled."""
+    keys = draw(st.lists(_FLAT_KEYS, max_size=3, unique=True))
+    rows = [{key: draw(_FLAT_SCALARS) for key in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(1, 4)))]
+    row = draw(st.sampled_from(rows))
+    spoil = draw(st.sampled_from(["none", "value", "key"]))
+    if spoil == "value" and keys:
+        row[draw(st.sampled_from(keys))] = draw(
+            st.floats() | st.lists(st.integers(), max_size=2) | st.just({}))
+    elif spoil == "key":
+        row[draw(_FLAT_KEYS)] = draw(_FLAT_SCALARS)
+    return rows
+
+
 _PAIRS = st.integers(0, 3).flatmap(
     lambda width: st.lists(st.lists(st.integers(), min_size=width, max_size=width), max_size=4)
 )
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | st.floats()
-    | st.text() | _PAIRS | _spoiled_pairs(),
+    | st.text() | _PAIRS | _spoiled_pairs() | _flat_records(),
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=20,
@@ -526,6 +549,13 @@ class TestJsonEmitter:
         for stray in (True, False, 1.5, None, "7"):
             value = {"proved": [[0, 6], [11, stray]], "empty": [[], []]}
             assert cli._json(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [{}], [{}, {}], [{"a": 1}, {"b": 1}], [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1.5}],
+        [{"a": [1]}], [{"a": 1}, {"a": True}], [{"%s": "%d", "\u00e9": None}], ({"a": "x"},),
+    ])
+    def test_flat_records(self, value):
+        assert cli._json(value, "") == json.dumps(value, sort_keys=True, indent=2)
 
     def test_no_render_reaches_the_pure_python_encoder(self, capsys, monkeypatch):
         calls = []

@@ -30,9 +30,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genusgaps import cases, cli, gapmap, picard
-from genusgaps.cases import CaseDataError, _linear_forms, load_cases
+from genusgaps.cases import CaseDataError, load_cases
 from genusgaps.intervals import Interval, IntervalSet
-from genusgaps.picard import BUILTINS, builtin_lattice
+from genusgaps.picard import BUILTINS, builtin_lattice, intersect
 
 
 def rebuild(obj, **changes):
@@ -117,6 +117,25 @@ class SweepConstraint:
     min_value: int
 
 
+def linear_forms_by_intersect(record, lat):
+    """The Gram readings of a record, one ``intersect`` per product.
+
+    ``cases._linear_forms`` as it stood before the lattices kept their Gram
+    rows, kept verbatim (bar its name) as the differential oracle of the
+    row-based reading: K . base, K . sub_i, base . P_j, and sub_i . P_j as
+    one row per parameter; an unknown class label raises ``KeyError``.
+    """
+    base = lat.cls(record.base)
+    subs = [lat.cls(p.cls) for p in record.params]
+    pencils = [lat.cls(c.cls) for c in record.constraints]
+    return (
+        intersect(lat, lat.canonical, base),
+        tuple(intersect(lat, lat.canonical, sub) for sub in subs),
+        tuple(intersect(lat, base, pencil) for pencil in pencils),
+        tuple(tuple(intersect(lat, sub, pencil) for pencil in pencils) for sub in subs),
+    )
+
+
 @dataclass(frozen=True)
 class CaseRecord:
     id: str
@@ -149,7 +168,7 @@ class CaseRecord:
         if (self.mode == "direct-dim") != (self.threshold is not None):
             fail("threshold must accompany direct-dim mode")
         try:
-            forms = _linear_forms(self, builtin_lattice(self.lattice))
+            forms = linear_forms_by_intersect(self, builtin_lattice(self.lattice))
         except KeyError as exc:
             raise CaseDataError(f"{self.id}: {exc}") from exc
         object.__setattr__(self, "forms", forms)
