@@ -138,7 +138,7 @@ class TestDecompose:
 
     def test_json_round_trip(self, capsys):
         for args in (["decompose", "6"], ["status", "6", "26"], ["bounds", "7"],
-                     ["table", "4", "6"], ["certify", "5", "9"]):
+                     ["table", "4", "6"], ["certify", "5", "9"], ["verify", "all"]):
             rc, out, _ = run(capsys, *args, "--format", "json")
             assert rc == 0
             payload = json.loads(out)
@@ -215,12 +215,14 @@ class TestTemplatedRows:
             self.check(capsys, ["decompose", str(d)], range(d, d + 1))
 
     def test_sampled_degrees(self, capsys):
-        for d in sorted(random.Random(0).sample(range(81, 10**5 + 1), 30)):
+        # and 5 * 10**4, the largest degree of the decompose-sweep workload
+        for d in [*sorted(random.Random(0).sample(range(81, 10**5 + 1), 30)), 5 * 10**4]:
             self.check(capsys, ["decompose", str(d)], range(d, d + 1))
 
-    @pytest.mark.parametrize("lo, hi", [(4, 9), (2000, 2003)])
+    @pytest.mark.parametrize("lo, hi", [(4, 9), (4, 60), (2000, 2003)])
     def test_tables(self, capsys, lo, hi):
-        # table 4 9 mixes the d = 4 nogaps row with templated ones
+        # table 4 9 mixes the d = 4 nogaps row with templated ones, and
+        # table 4 60 streams 57 degrees through one writer
         self.check(capsys, ["table", str(lo), str(hi)], range(lo, hi + 1))
 
 
@@ -245,7 +247,7 @@ class TestBounds:
             rc, out, err = run(capsys, "bounds", d, "--format", fmt)
             assert (rc, out) == (2, "")
             assert err.startswith("error: ") and err.count("\n") == 1, err
-        proc = run_proc("bounds", d)
+        proc = run_proc("bounds", d, timeout=10)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
@@ -259,9 +261,9 @@ class TestBounds:
         if not limit:
             pytest.skip("int to str conversion has no digit limit in this interpreter")
         d = "7" * -(-limit // 2)
-        proc = run_proc(*command, d, "--format", fmt, timeout=20)
+        proc = run_proc(*command, d, "--format", fmt, timeout=10)
         assert (proc.returncode, proc.stdout) == (2, "")
-        bounds = run_proc("bounds", d, "--format", fmt, timeout=20)
+        bounds = run_proc("bounds", d, "--format", fmt, timeout=10)
         assert proc.stderr == bounds.stderr
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
@@ -302,9 +304,18 @@ class TestVerify:
         assert len(payload["checks"]) == 120
 
     def test_all_scope(self, capsys):
-        rc, out, _ = run(capsys, "verify", "all", "--format", "json")
-        assert rc == 0
-        assert json.loads(out)["ok"] is True
+        # verify all shares the sweeps of its two parts, and still writes every
+        # check of verify cases, then every check of verify kappa, all ok
+        checks = {}
+        for scope in ("cases", "kappa", "all"):
+            rc, out, _ = run(capsys, "verify", scope, "--format", "json")
+            payload = json.loads(out)
+            assert rc == 0 and payload["ok"] is True
+            assert all(check["ok"] is True for check in payload["checks"])
+            checks[scope] = payload["checks"]
+        assert {scope: len(c) for scope, c in checks.items()} == {"cases": 120, "kappa": 176,
+                                                                  "all": 296}
+        assert checks["all"] == checks["cases"] + checks["kappa"]
 
     @pytest.mark.parametrize("scope", ["cases", "kappa", "all"])
     def test_csv_detail_is_the_rest_of_the_line(self, capsys, scope):
@@ -343,6 +354,21 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
+
+    def test_console_script_entry(self, capsys, monkeypatch):
+        """The installed ``genusgaps`` command exits with the code ``main`` returns."""
+        for argv, code in [(["status", "6", "13"], 0), (["--help"], 0),
+                           (["status", "six", "1"], 2)]:
+            monkeypatch.setattr(sys, "argv", ["genusgaps", *argv])
+            with pytest.raises(SystemExit) as exc:
+                cli.entry()
+            out, err = capsys.readouterr()
+            assert exc.value.code == code, argv
+            assert (code, out, err) == _captured(cli.main, argv), argv
+        # read as text, as tomllib is new in 3.11
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = pyproject.read_text(encoding="utf-8").split("\n[project.scripts]\n", 1)[1]
+        assert 'genusgaps = "genusgaps.cli:entry"' in scripts.split("\n[", 1)[0].splitlines()
 
 
 class TestDeterminism:
@@ -388,7 +414,7 @@ class TestClosedStdout:
         want = cli.main(argv)
         capsys.readouterr()
         env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
+        src = str(Path(cli.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         read_end, write_end = os.pipe()
         os.close(read_end)  # every write to the pipe now fails with EPIPE
@@ -697,6 +723,14 @@ class TestPlainRoute:
     )
     def test_declines_everything_else(self, argv):
         assert cli._plain_args(argv) is None
+
+    def test_both_routes_print_the_same(self):
+        # the same query, read plain and, spelled with --format=json, by argparse
+        plain = ["status", "6", "13", "--format", "json"]
+        parsed = ["status", "--format=json", "6", "13"]
+        assert cli._plain_args(plain) is not None and cli._plain_args(parsed) is None
+        got = _captured(cli.main, plain)
+        assert got == _captured(cli.main, parsed) and got[0] == 0 and got[1]
 
     @settings(max_examples=400, deadline=None)
     @given(_argvs())

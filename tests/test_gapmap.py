@@ -361,3 +361,122 @@ class TestWindowSteps:
         # the scan keeps the windows at 1..k and stops on reading the one at k+1
         last_read = len(_window_union_within(d, refined_horizon(d)).parts) + 1
         assert last_read <= d - 1
+
+
+def bottom(d: int, n: int) -> int:
+    """b(n) = p_a(d, n) - l(d, n), the bottom of the degree-n window."""
+    return arithmetic_genus(d, n) - linsys_dim(d, n)
+
+
+def join_slack(d: int, n: int) -> int:
+    """p_a(d, n-1) + 1 - b(n): how far the window at n starts below the genus above the one at n-1.
+
+    ``contiguity_holds(d, n)`` is exactly ``join_slack(d, n) >= 0``.
+    """
+    return linsys_dim(d, n) - (arithmetic_genus(d, n) - arithmetic_genus(d, n - 1) - 1)
+
+
+class TestWindowFacts:
+    """Facts (a) and (b) of ``gapmap``, proved for every d.
+
+    Fact (a), which ``certify_nongap`` rests on: for d >= 4 the window
+    bottoms b(n) never decrease in n >= 1, as every step s(n) = b(n) - b(n-1)
+    is >= 0.  Fact (b), which ``refined_horizon`` rests on: for d >= 5 the n
+    in [1, d] at which the windows at n-1 and n join form an upper ray.
+
+    Each fact splits into polynomial identities and sign facts.  An identity
+    is read on a region where ``linsys_dim`` is one polynomial: l(d, n) is
+    C(n+3, 3) - 1 for n < d, C(d+3, 3) - 2 at n = d, and
+    C(n+3, 3) - C(n-d+3, 3) - 1 for n > d, while p_a(d, n) = d n (d+n-4)/2 + 1
+    exactly.  A polynomial of degree at most k in d and m in n that vanishes
+    on a grid of k+1 degrees by m+1 cutting degrees is zero, so each test
+    names the degrees of its identity and reads a grid that large, inside
+    the region; the far points only check the region bounds.  Each sign
+    fact writes a quantity in a form whose sign can be read off, and proves
+    that form as one more identity.
+    """
+
+    def test_halving_is_exact(self):
+        # the parity of d(2n+d-5) depends only on (d, n) mod 2
+        for d, n in itertools.product((0, 1), repeat=2):
+            assert d * (2 * n + d - 5) % 2 == 0, (d, n)
+
+    # fact (a)
+
+    def test_step_below_d(self):
+        # for 2 <= n <= d-1 both windows are below d, and s(n) is the
+        # quadratic d(2n+d-5)/2 - C(n+2, 2); degree 2 in d, 3 in n
+        for d, n in [*itertools.product((7, 8, 9), (2, 3, 4, 5)), (10**6, 2), (10**6, 10**6 - 1)]:
+            assert bottom(d, n) - bottom(d, n - 1) == d * (2 * n + d - 5) // 2 - comb(n + 2, 2)
+
+    def test_step_is_concave_below_d(self):
+        # s(n+1) - s(n) = d - n - 2 falls by one at each n, so s is concave on
+        # [2, d-1] and there at least the smaller of s(2) and s(d-1); degree
+        # 2 in d and in n
+        def s(d, n):
+            return d * (2 * n + d - 5) // 2 - comb(n + 2, 2)
+
+        for d, n in itertools.product((5, 6, 7), (2, 3, 4)):
+            assert s(d, n + 1) - s(d, n) == d - n - 2
+
+    def test_step_ends_are_nonnegative(self):
+        # s(2) = d(d-1)/2 - 6 = (d-4)(d+3)/2 and s(d-1) = d(d-4), each a
+        # product of factors >= 0 for d >= 4; degree 2 and 3 in d
+        for d in (5, 6, 7, 10**6):
+            assert bottom(d, 2) - bottom(d, 1) == d * (d - 1) // 2 - 6 == (d - 4) * (d + 3) // 2
+        for d in (5, 6, 7, 8, 10**6):
+            assert bottom(d, d - 1) - bottom(d, d - 2) == d * (d - 4)
+
+    def test_step_is_constant_from_d_on(self):
+        # s(d) = d(3d-5)/2 - C(d+2, 2) + 1 and, for n > d,
+        # s(n) = d(2n+d-5)/2 - C(n+2, 2) + C(n-d+2, 2); both are d(d-4) >= 0.
+        # Degree 3 in d, and for n > d also 3 in n
+        for d in (5, 6, 7, 8, 10**6):
+            assert bottom(d, d) - bottom(d, d - 1) == d * (d - 4)
+        for d, n in [*itertools.product((5, 6, 7, 8), (9, 10, 11, 12)), (10**6, 10**6 + 1)]:
+            assert bottom(d, n) - bottom(d, n - 1) == d * (d - 4)
+
+    # fact (b)
+
+    def test_join_slack_below_d(self):
+        # for 1 <= n < d the windows at n-1 and n join iff
+        # f(n) = C(n+3, 3) - d(2n+d-5)/2 >= 0; degree 2 in d, 3 in n
+        for d, n in [*itertools.product((7, 8, 9), (1, 2, 3, 4)), (10**6, 10**6 - 1)]:
+            f = comb(n + 3, 3) - d * (2 * n + d - 5) // 2
+            assert join_slack(d, n) == f
+            assert contiguity_holds(d, n) == (f >= 0)
+
+    def test_join_slack_steps_increase(self):
+        # f(n+1) - f(n) = C(n+3, 2) - d (degree 2 in d, 3 in n), and each
+        # step exceeds the one before by C(n+4, 2) - C(n+3, 2) = n+3 > 0
+        # (degree 2 in n): once f has taken a step up it keeps climbing
+        def f(d, n):
+            return comb(n + 3, 3) - d * (2 * n + d - 5) // 2
+
+        for d, n in itertools.product((5, 6, 7), (1, 2, 3, 4)):
+            assert f(d, n + 1) - f(d, n) == comb(n + 3, 2) - d
+        for n in (1, 2, 3):
+            assert comb(n + 4, 2) - comb(n + 3, 2) == n + 3
+
+    def test_first_join_fails(self):
+        # f(1) = 4 - d(d-3)/2 = -1 - (d-5)(d+2)/2 < 0 for d >= 5 (degree 2
+        # in d); as f starts below 0, it reaches 0 only after a step up, from
+        # which on it climbs, so the joins below d form an upper ray
+        for d in (5, 6, 7, 10**6):
+            assert join_slack(d, 1) == 4 - d * (d - 3) // 2 == -1 - (d - 5) * (d + 2) // 2
+
+    def test_join_at_d(self):
+        # at n = d the slack is C(d+3, 3) - 1 - d(3d-5)/2 = d(d^2-3d+26)/6
+        # (degree 3 in d), and 4(d^2-3d+26) = (2d-3)^2 + 95 > 0 (degree 2),
+        # so the windows at d-1 and d join
+        for d in (5, 6, 7, 8, 10**6):
+            assert 6 * join_slack(d, d) == d * (d * d - 3 * d + 26)
+        for d in (0, 1, 2):
+            assert 4 * (d * d - 3 * d + 26) == (2 * d - 3) ** 2 + 95
+
+    def test_facts_as_the_code_sees_them(self):
+        # window bottoms never fall, and the joins in [1, d] are an upper ray
+        for d in range(5, 41):
+            assert all(bottom(d, n) <= bottom(d, n + 1) for n in range(1, 3 * d)), d
+            joins = [contiguity_holds(d, n) for n in range(1, d + 1)]
+            assert joins == sorted(joins) and joins[-1], d
