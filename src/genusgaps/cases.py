@@ -590,7 +590,7 @@ def _elimination_checks(
 
 
 def _eliminations(
-    records: tuple[CaseRecord, ...], swept: dict[tuple[str, tuple[int, ...]], int] | None = None
+    records: tuple[CaseRecord, ...], swept: dict[tuple[str, tuple[int, ...]], int]
 ) -> list[EliminationCheck]:
     """Every family against every restricted triple, in report order.
 
@@ -598,7 +598,6 @@ def _eliminations(
     run whose room is not in it goes through ``check_elimination``, and its
     sweep enters the memo; any other run takes -kappa from the memo.
     """
-    swept = {} if swept is None else swept
     triples = restricted_triples()
     checks = []
     for record in _by_id(records):
@@ -625,7 +624,7 @@ def _elimination_result(res: EliminationCheck) -> CheckResult:
 def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
     """Run every applicable family against every restricted triple."""
     records = load_cases() if cases is None else cases
-    return VerificationReport(checks=tuple(map(_elimination_result, _eliminations(records))))
+    return VerificationReport(checks=tuple(map(_elimination_result, _eliminations(records, {}))))
 
 
 def _kappa_checks(

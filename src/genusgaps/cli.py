@@ -17,11 +17,12 @@ reads the plain shape ``<command> <positional>... [--format F]``: a list
 of str whose positionals are nonempty, start with no ``-`` and convert as
 argparse would convert them, with ``--format F`` only as the last two
 tokens.  That is the shape scripts send, and reading it skips argparse,
-whose parse and import cost more than a point query's answer.  Any other argv (help, errors, ``--format=json``, options before
-positionals, abbreviations) goes to one argparse parser built from the
-same table on first use and never mutated by parsing, so concurrent calls
-to ``main`` stay safe; for every argv that ``_plain_args`` reads, argparse
-gives the same namespace.
+whose parse and import cost more than a point query's answer.  Any other
+argv (help, errors, ``--format=json``, options before positionals,
+abbreviations) goes to an argparse parser built from the same table for
+that call.  Both readers give a ``SimpleNamespace``, and for every argv
+that ``_plain_args`` reads, argparse gives an equal one.  Nothing in this
+module outlives a call.
 
 JSON is written by the module's own emitter, ``_json``, whose output is
 byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)``:
@@ -36,7 +37,6 @@ item by item.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -60,8 +60,6 @@ from .gapmap import (
 
 if TYPE_CHECKING:
     import argparse
-
-    Args = SimpleNamespace | argparse.Namespace  # from _plain_args or from argparse
 
 SCHEMA_VERSION = "1"
 DECOMPOSITION_HEADER = ["d", "kind", "lo", "hi", "source"]
@@ -112,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _plain_args(argv)
     if args is None:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser().parse_args(argv, SimpleNamespace())
         except SystemExit as exc:
             code = exc.code
             return code if isinstance(code, int) else 2
@@ -134,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     return record.code
 
 
-def _render(args: Args, record: Record) -> str:
+def _render(args: SimpleNamespace, record: Record) -> str:
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **record.fields()}
         return _json(payload, "") + "\n"
@@ -230,7 +228,7 @@ def _certificate_cells(cert: Certificate | None) -> list[object]:
     return [None, None] if cert is None else [cert.n, cert.delta]
 
 
-def _cmd_status(args: Args) -> Record:
+def _cmd_status(args: SimpleNamespace) -> Record:
     st = status(args.d, args.g)
     cert = st.certificate
 
@@ -253,7 +251,7 @@ def _cmd_status(args: Args) -> Record:
     )
 
 
-def _cmd_certify(args: Args) -> Record:
+def _cmd_certify(args: SimpleNamespace) -> Record:
     _check_d(args.d, 1)  # below 1 is no surface degree at all
     if args.d < 4:
         raise ValueError(
@@ -344,12 +342,12 @@ def _check_decomposable(d: int) -> str:
     return str(coarse_horizon(d))
 
 
-def _cmd_decompose(args: Args) -> Record:
+def _cmd_decompose(args: SimpleNamespace) -> Record:
     _check_decomposable(args.d)
     return _decomposition(decompose(args.d))
 
 
-def _cmd_bounds(args: Args) -> Record:
+def _cmd_bounds(args: SimpleNamespace) -> Record:
     coarse = _check_decomposable(args.d)
     refined = refined_horizon(args.d) if args.d >= 5 else -1
     return Record(
@@ -360,7 +358,7 @@ def _cmd_bounds(args: Args) -> Record:
     )
 
 
-def _cmd_table(args: Args) -> Record:
+def _cmd_table(args: SimpleNamespace) -> Record:
     if not 4 <= args.d_min <= args.d_max:
         raise ValueError(
             f"need 4 <= d_min <= d_max, got d_min={args.d_min}, d_max={args.d_max}"
@@ -380,7 +378,7 @@ def _cmd_table(args: Args) -> Record:
 _VERIFY_SCOPES = {"cases": "verify_elimination", "kappa": "verify_kappa", "all": "verify_all"}
 
 
-def _cmd_verify(args: Args) -> Record:
+def _cmd_verify(args: SimpleNamespace) -> Record:
     report = getattr(case_mod, _VERIFY_SCOPES[args.scope])()
     checks = report.checks
 
@@ -410,7 +408,7 @@ def _cmd_verify(args: Args) -> Record:
 
 # name -> (help, runner, positionals); each positional is (dest, kind, help),
 # and its kind is int or a tuple of the values it takes
-COMMANDS: dict[str, tuple[str, Callable[[Args], Record], tuple]] = {
+COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], Record], tuple]] = {
     "status": ("verdict for a single (degree, genus) pair", _cmd_status,
                (("d", int, "surface degree (>= 1)"), ("g", int, "genus (>= 0)"))),
     "decompose": ("certified gap decomposition for one degree", _cmd_decompose,
@@ -465,8 +463,7 @@ def _plain_args(argv: object) -> SimpleNamespace | None:
     return SimpleNamespace(command=command, format=fmt, run=run, **values)
 
 
-# built on first use, not at import, so plain argv never imports argparse
-@functools.cache
+# built per call, not at import, so plain argv never imports argparse
 def _build_parser() -> argparse.ArgumentParser:
     import argparse
 

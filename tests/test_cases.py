@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 import pickle
@@ -82,8 +83,27 @@ NEG_KAPPA_TABLE = {
     "quartic-rational-c": (0, 36),
 }
 
+# the ids the parametrized sweeps take, named here so that collection reads no table
+QUARTIC_IDS = (
+    "quartic-K3", "quartic-cone", "quartic-dp2", "quartic-dp1", "quartic-dcover",
+    "quartic-monoid", "quartic-elliptic-ruled-a", "quartic-elliptic-ruled-b-two",
+    "quartic-elliptic-ruled-b-one", "quartic-elliptic-ruled-c", "quartic-genus2-scroll",
+    "quartic-elliptic-scroll-a", "quartic-elliptic-scroll-b", "quartic-segre",
+    "quartic-rational-b", "quartic-rational-c",
+)
+MULTI_PARAM_IDS = (
+    "quartic-dcover", "quartic-elliptic-ruled-a", "quartic-elliptic-ruled-b-one",
+    "quartic-elliptic-ruled-b-two", "quartic-elliptic-ruled-c", "quartic-rational-b",
+)
 
-SHIPPED = json.loads(resources.files("genusgaps").joinpath("data/cases.json").read_text())
+
+@functools.cache
+def shipped() -> dict:
+    """The raw shipped case table, read as UTF-8 on first use; callers copy before mutating."""
+    table = resources.files("genusgaps").joinpath("data/cases.json")
+    return json.loads(table.read_text(encoding="utf-8"))
+
+
 DELETE = object()  # fuzz mutation: drop the key
 
 
@@ -298,14 +318,20 @@ class TestCaseTable:
     def test_record_count(self):
         assert len(load_cases()) == 24
 
+    def test_id_constants_match_the_table(self):
+        records = load_cases()
+        assert sorted(NEG_KAPPA_TABLE) == sorted(r.id for r in records)
+        assert QUARTIC_IDS == tuple(r.id for r in records if r.n == 4)
+        assert MULTI_PARAM_IDS == tuple(sorted(r.id for r in records if len(r.params) > 1))
+
     def test_delegated_flags(self):
         delegated = {r.id for r in load_cases() if r.delegated}
         assert delegated == {"cubic-ii.c-dag", "cubic-ii.c-ddag"}
 
     def test_external_file_round_trip(self, tmp_path):
-        text = resources.files("genusgaps").joinpath("data/cases.json").read_text()
+        text = resources.files("genusgaps").joinpath("data/cases.json").read_text(encoding="utf-8")
         path = tmp_path / "cases.json"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert load_cases(path) == load_cases()
 
     def test_bad_schema_version(self, tmp_path):
@@ -315,7 +341,7 @@ class TestCaseTable:
             load_cases(path)
 
     def _patched(self, tmp_path, mutate) -> str:
-        doc = copy.deepcopy(SHIPPED)
+        doc = copy.deepcopy(shipped())
         mutate(doc)
         path = tmp_path / "cases.json"
         path.write_text(json.dumps(doc))
@@ -517,7 +543,7 @@ class TestCaseTable:
         # same message as their oracles; "K", a basis label of the record's
         # lattice and a class name only another lattice has must all resolve
         # through lat.cls
-        doc = copy.deepcopy(SHIPPED)
+        doc = copy.deepcopy(shipped())
         raw = data.draw(st.sampled_from(doc["cases"]), label="record")
         site = data.draw(st.sampled_from(list(mutation_sites(raw))), label="object")
         key = data.draw(st.sampled_from(sorted(site)), label="key")
@@ -682,9 +708,7 @@ class TestMaxNegKappa:
         assert max_neg_canonical_degree(by_id("quartic-elliptic-ruled-b-two"), 6) == 20
         assert max_neg_canonical_degree(by_id("quartic-elliptic-ruled-b-one"), 6) == 20
 
-    @pytest.mark.parametrize(
-        "case_id", [r.id for r in load_cases() if r.n == 4]
-    )
+    @pytest.mark.parametrize("case_id", QUARTIC_IDS)
     def test_against_independent_sweep(self, case_id):
         record = by_id(case_id)
         assert max_neg_canonical_degree(record, 6) == oracle_max_neg_kappa(record, 6, 40)
@@ -753,7 +777,7 @@ def outcome(sweep, record: CaseRecord, d: int):
 
 
 class TestSweepAgainstClassSweep:
-    @pytest.mark.parametrize("case_id", sorted(r.id for r in load_cases()))
+    @pytest.mark.parametrize("case_id", sorted(NEG_KAPPA_TABLE))
     def test_audit_and_restricted_degrees(self, case_id):
         # the audit's degrees (5..20 for cubic families, 6 for quartic ones)
         # and every restricted degree: 144 + 72 pairs over the whole table
@@ -762,9 +786,7 @@ class TestSweepAgainstClassSweep:
         for d in sorted({*audit, 6, 7, 8}):
             assert max_neg_canonical_degree(record, d) == class_sweep_max_neg_kappa(record, d)
 
-    @pytest.mark.parametrize(
-        "case_id", sorted(r.id for r in load_cases() if len(r.params) > 1)
-    )
+    @pytest.mark.parametrize("case_id", MULTI_PARAM_IDS)
     def test_every_parameter_in_the_closed_form_slot(self, case_id):
         # the sweep takes its last parameter in closed form: rotate each
         # parameter into that slot, one with K . sub > 0 and one with
@@ -1169,7 +1191,7 @@ class TestSharedSweeps:
             for r in load_cases()
         )
         # the pair (cubic, 7) is swept by the elimination and reused by the audit
-        assert any(c.d == 7 for c in case_mod._eliminations((cubic,)))
+        assert any(c.d == 7 for c in case_mod._eliminations((cubic,), {}))
         combined = verify_all(doctored)
         assert combined.checks == (
             verify_elimination(doctored).checks + verify_kappa(doctored).checks

@@ -12,6 +12,7 @@ import subprocess
 from collections import Counter
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -435,7 +436,7 @@ class TestClosedStdout:
 
 
 class TestParserReuse:
-    """One parser serves every call in a process, whatever ran before."""
+    """Each call prints the same, whatever ran before it in the process."""
 
     ARGV = [argv.split() for argv in sorted(GOLDEN)] + [
         ["--help"],
@@ -450,7 +451,6 @@ class TestParserReuse:
     def test_reused_parser_matches_a_fresh_one(self, capsys):
         fresh = {}
         for argv in self.ARGV:
-            cli._build_parser.cache_clear()
             fresh[tuple(argv)] = run(capsys, *argv)
         interleaved = self.ARGV * 3
         random.Random(0).shuffle(interleaved)
@@ -458,8 +458,8 @@ class TestParserReuse:
             for argv in order:
                 assert run(capsys, *argv) == fresh[tuple(argv)], argv
 
-    def test_no_parser_built_after_the_first_call(self, capsys, monkeypatch):
-        """Plain argv builds no parser; the first other argv builds it, once."""
+    def test_each_declined_argv_builds_one_parser_tree(self, capsys, monkeypatch):
+        """Plain argv builds no parser; each declined argv builds one tree of 7 parsers."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -467,7 +467,6 @@ class TestParserReuse:
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
-        cli._build_parser.cache_clear()
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         plain = [["status", "6", str(i)] for i in range(20)] + [  # and golden argv with no negative
             argv.split() for argv in GOLDEN if " -" not in argv.replace(" --format", "")
@@ -475,11 +474,11 @@ class TestParserReuse:
         for argv in plain:
             cli.main(argv)
         assert built == []
-        cli.main(["frobnicate"])
-        assert len(built) == 7  # the root and six subparsers
         for i in range(50):
+            before = len(built)
             cli.main([["status", "6", str(i)], ["bounds", "--format=json", "7"], ["frobnicate"]][i % 3])
-        assert len(built) == 7
+            # the root and six subparsers for a declined argv, none for a plain one
+            assert len(built) - before == (0 if i % 3 == 0 else 7)
 
 
 class TestOnlyRequestedShape:
@@ -707,7 +706,7 @@ class TestPlainRoute:
     def test_reads_plain_argv(self, argv):
         got = cli._plain_args(argv)
         assert got is not None
-        assert vars(got) == vars(cli._build_parser().parse_args(argv))
+        assert got == cli._build_parser().parse_args(argv, SimpleNamespace())
 
     @pytest.mark.parametrize(
         "argv",
@@ -724,6 +723,27 @@ class TestPlainRoute:
     def test_declines_everything_else(self, argv):
         assert cli._plain_args(argv) is None
 
+    @pytest.mark.parametrize(
+        "argv,plain",
+        [
+            ("status --format=json 6 13", "status 6 13 --format json"),
+            ("status --format csv 6 13", "status 6 13 --format csv"),
+            ("bounds --format json 9", "bounds 9 --format json"),
+            ("status 6 13 --form csv", "status 6 13 --format csv"),
+            ("verify --form json kappa", "verify kappa --format json"),
+            ("table --format=table 4 9", "table 4 9"),
+        ],
+    )
+    def test_argparse_route_gives_the_plain_namespace(self, monkeypatch, argv, plain):
+        # main reads each declined argv through argparse into the namespace
+        # that _plain_args gives for the same query written plainly
+        seen = []
+        monkeypatch.setattr(cli, "_render", lambda args, record: seen.append(args) or "")
+        assert cli._plain_args(argv.split()) is None
+        assert cli.main(argv.split()) == cli.main(plain.split()) == 0
+        assert type(seen[0]) is SimpleNamespace
+        assert seen[0] == seen[1] == cli._plain_args(plain.split())
+
     def test_both_routes_print_the_same(self):
         # the same query, read plain and, spelled with --format=json, by argparse
         plain = ["status", "6", "13", "--format", "json"]
@@ -737,7 +757,7 @@ class TestPlainRoute:
     def test_same_as_argparse(self, argv):
         plain = cli._plain_args(argv)
         if plain is not None:
-            assert vars(plain) == vars(cli._build_parser().parse_args(argv))
+            assert plain == cli._build_parser().parse_args(argv, SimpleNamespace())
         got = _captured(cli.main, argv)
         with mock.patch.object(cli, "_plain_args", lambda argv: None):
             assert _captured(cli.main, argv) == got

@@ -301,7 +301,7 @@ def samples() -> dict[type, list]:
         *BUILTINS,
         *(lat.canonical for lat in BUILTINS),
         *(c for lat in BUILTINS for c in lat.named.values()),
-        report, *report.checks, cases.verify_kappa(), *cases._eliminations(records),
+        report, *report.checks, cases.verify_kappa(), *cases._eliminations(records, {}),
         *statuses, *filter(None, certificates),
         *map(gapmap.decompose, (4, 5, 6, 7, 20, 100)),
         *_records(),
