@@ -23,7 +23,9 @@ outside all of these.
 
 from __future__ import annotations
 
-from typing import Callable
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable
 
 
 class Value:

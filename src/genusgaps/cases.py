@@ -52,11 +52,7 @@ JSON schema (one object)::
 from __future__ import annotations
 
 import itertools
-import json
-from importlib import resources
 from operator import mul
-from pathlib import Path
-from typing import NoReturn
 
 from ._value import Value, setters
 from .formulas import arithmetic_genus, clemens_min_genus, cut_system_dim
@@ -69,6 +65,11 @@ from .picard import (
     family_dim_bound,
     intersect,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
+    from typing import NoReturn
 
 SCHEMA_VERSION = "genusgaps-cases/1"
 # surface degrees whose second gap range rests on the case table
@@ -316,9 +317,13 @@ def load_cases(path: str | Path | None = None) -> tuple[CaseRecord, ...]:
     The file is read as UTF-8.  Bytes that are not UTF-8, and text that is
     not JSON or nests too deep for the parser, raise ``CaseDataError``.
     """
+    import json  # here, as only a verify query reads the table
+
     if path is None:
+        from importlib import resources
         data = resources.files("genusgaps").joinpath("data/cases.json").read_bytes()
     else:
+        from pathlib import Path
         data = Path(path).read_bytes()
     try:
         doc = json.loads(data.decode("utf-8"))

@@ -27,23 +27,24 @@ module outlives a call.
 JSON is written by the module's own emitter, ``_json``, whose output is
 byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)``:
 with ``indent`` set, ``json.dumps`` runs its pure-Python encoder, which
-cost more than building the record for a large decomposition.  Two kinds
-of list are written through one %-template for all their items: int
-lists of one length, such as the interval pairs of a decomposition, and
-dicts that share one non-empty key set and hold only str, int, bool or
-None, such as the checks of a verify report.  Any other list is written
-item by item.
+cost more than building the record for a large decomposition.  Two shapes
+are written through one %-template for all their items: an
+``IntervalSet`` (the parts of a decomposition), as the list of its
+``[lo, hi]`` pairs, and a list of dicts that share one non-empty key set
+and hold only str, int, bool or None (the checks of a verify report).  Any
+other list is written item by item.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable
+
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from . import cases as case_mod
 from ._value import Value, setters
@@ -57,9 +58,12 @@ from .gapmap import (
     refined_horizon,
     status,
 )
+from .intervals import IntervalSet
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
+    from typing import Callable
 
 SCHEMA_VERSION = "1"
 DECOMPOSITION_HEADER = ["d", "kind", "lo", "hi", "source"]
@@ -154,8 +158,10 @@ def _json(value: object, pad: str) -> str:
     Dict keys are str, as in every record.  Strings go through the C
     escaper ``json.dumps`` itself uses under ``ensure_ascii``, ints (not
     bools) through ``int.__repr__``, and any other scalar through
-    ``json.dumps``.  A list of flat rows of one shape is rendered through
-    one %-template (``_templated``); any other list goes item by item.
+    ``json.dumps``.  An ``IntervalSet`` is written as its pair list, all
+    pairs through one %-template over its flat bounds.  A list of flat dict
+    rows of one shape is rendered through one %-template (``_templated``);
+    any other list goes item by item.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -183,6 +189,14 @@ def _json(value: object, pad: str) -> str:
         if body is None:
             body = sep.join(_json(item, inner) for item in value)
         return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, IntervalSet):
+        if not value:
+            return "[]"
+        cell = inner + "  "
+        pair = "[\n" + cell + "%d,\n" + cell + "%d\n" + inner + "]"
+        body = sep.join([pair] * (len(value.bounds) // 2)) % value.bounds
+        return "[\n" + inner + body + "\n" + pad + "]"
+    import json  # only for a scalar no record holds, such as a float
     return json.dumps(value)
 
 
@@ -190,33 +204,25 @@ _FLAT = {str, int, bool, type(None)}  # the exact types a templated dict row may
 
 
 def _templated(items: list | tuple, inner: str) -> str | None:
-    """The items of a non-empty list at ``inner``, written by one %-template, or None.
+    """The dict rows of a non-empty list at ``inner``, written by one %-template, or None.
 
-    The two shapes are those the module docstring names: a pair cell goes
-    through ``%d``, a dict value through ``_json``.  Types are checked
-    exactly first, so a bool or float in a pair list, a float or nested
-    value in a dict, or an item or value of a subclass gets None.
+    The rows must share one non-empty key set and hold only the scalars the
+    module docstring names, each value going through ``_json``.  Types are
+    checked exactly first, so an item that is not a dict, a float or nested
+    value, or an item or value of a subclass gets None.
     """
-    kinds = set(map(type, items))
-    cell = inner + "  "
-    if kinds == {list}:
-        widths = set(map(len, items))
-        cells = list(chain.from_iterable(items))
-        if len(widths) != 1 or set(map(type, cells)) != {int}:
-            return None
-        row = "[\n" + cell + (",\n" + cell).join(["%d"] * widths.pop()) + "\n" + inner + "]"
-    elif kinds == {dict} and len(key_sets := set(map(frozenset, items))) == 1:
-        keys = sorted(key_sets.pop())
-        cells = [item[key] for item in items for key in keys]
-        if not keys or not set(map(type, cells)) <= _FLAT:
-            return None
-        cells = [_json(v, "") for v in cells]
-        # a key is written into the template, so its % signs are doubled
-        row = "{\n" + cell + (",\n" + cell).join(
-            [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
-        ) + "\n" + inner + "}"
-    else:
+    if set(map(type, items)) != {dict} or len(key_sets := set(map(frozenset, items))) != 1:
         return None
+    keys = sorted(key_sets.pop())
+    cells = [item[key] for item in items for key in keys]
+    if not keys or not set(map(type, cells)) <= _FLAT:
+        return None
+    cells = [_json(v, "") for v in cells]
+    cell = inner + "  "
+    # a key is written into the template, so its % signs are doubled
+    row = "{\n" + cell + (",\n" + cell).join(
+        [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+    ) + "\n" + inner + "}"
     return (",\n" + inner).join([row] * len(items)) % tuple(cells)
 
 
@@ -276,6 +282,11 @@ def _cmd_certify(args: SimpleNamespace) -> Record:
     )
 
 
+def _each_part(template: str, bounds: tuple[int, ...]) -> str:
+    """``template % (lo, hi)`` for each part of flat ``bounds``, one line each, in one string."""
+    return "\n".join([template] * (len(bounds) // 2)) % bounds
+
+
 def _decomposition(dec: GapDecomposition) -> Record:
     proved, unknown, certified = dec.proved_gaps, dec.unknown_candidates, dec.nongap_certified
 
@@ -283,9 +294,9 @@ def _decomposition(dec: GapDecomposition) -> Record:
         return {
             "d": dec.d,
             "horizon": dec.horizon,
-            "proved": proved.to_pairs(),
-            "unknown": unknown.to_pairs(),
-            "certified": certified.to_pairs(),
+            "proved": proved,
+            "unknown": unknown,
+            "certified": certified,
             "sources": [
                 {"lo": part.lo, "hi": part.hi, "source": src}
                 for part, src in dec.proved_sources
@@ -298,17 +309,16 @@ def _decomposition(dec: GapDecomposition) -> Record:
             lambda: [f"degree {dec.d}: no gaps, every genus is a certified non-gap"],
         )
 
-    # Each part is rendered by one %-template of its kind, the many unknown
-    # and certified parts through C-level maps over their flat bounds, the
-    # proved ones with their sources as ``decompose`` paired them (its ranges
-    # are the proved parts).  The three sets partition [0, horizon], so no
-    # two parts share a lo and sorting by lo is total.
+    # The proved parts are written with their sources as ``decompose`` paired
+    # them (its ranges are the proved parts), and each of the other two kinds
+    # as one string.  The three sets partition [0, horizon], so no two parts
+    # share a lo and sorting by lo is total.
     u, c = unknown.bounds, certified.bounds
 
     def rows() -> list[str]:
         out = ["%d,proved,%d,%d,%s" % (dec.d, p.lo, p.hi, src) for p, src in dec.proved_sources]
-        out += map(f"{dec.d},unknown,%d,%d,".__mod__, zip(u[0::2], u[1::2]))
-        out += map(f"{dec.d},certified,%d,%d,".__mod__, zip(c[0::2], c[1::2]))
+        out += _each_part(f"{dec.d},unknown,%d,%d,", u).splitlines()
+        out += _each_part(f"{dec.d},certified,%d,%d,", c).splitlines()
         los = [*proved.bounds[0::2], *u[0::2], *c[0::2]]
         return list(map(out.__getitem__, sorted(range(len(los)), key=los.__getitem__)))
 
@@ -318,8 +328,9 @@ def _decomposition(dec: GapDecomposition) -> Record:
             "  proved gap         [%d,%d]  [%s]" % (p.lo, p.hi, src)
             for p, src in dec.proved_sources
         ]
-        out += map("  unknown            [%d,%d]".__mod__, zip(u[0::2], u[1::2]))
-        out += map("  certified non-gap  [%d,%d]".__mod__, zip(c[0::2], c[1::2]))
+        # a kind with no parts writes no line
+        out += filter(None, [_each_part("  unknown            [%d,%d]", u),
+                             _each_part("  certified non-gap  [%d,%d]", c)])
         out.append(f"every genus above {dec.horizon} is a certified non-gap")
         return out
 

@@ -22,6 +22,9 @@ non-gaps this tool cannot certify).
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
+
 from ._value import Value, setters
 from .formulas import arithmetic_genus, contiguity_holds, linsys_dim
 from .intervals import Interval, IntervalSet
@@ -251,37 +254,42 @@ def status(d: int, g: int) -> GapStatus:
 def _window_union_within(d: int, horizon: int) -> IntervalSet:
     """Union of the realizable windows within [0, horizon], for horizon = refined_horizon(d).
 
-    Each window is a part of its own, so the union is built in one pass with
-    no merging and no clipping.  The horizon is b(n*-1) - 1, where n* is the
-    least cutting degree from which consecutive windows join (fact (b), see
+    Each window is a part of its own, so the union is built with no merging
+    and no clipping.  The horizon is b(n*-1) - 1, where n* is the least
+    cutting degree from which consecutive windows join (fact (b), see
     ``refined_horizon``), and window bottoms never decrease (fact (a), see
     ``certify_nongap``).  So the windows that start at or below the horizon
-    are those at n <= n*-2, and the scan stops at the first one that does
-    not.  No two consecutive ones join, and the last ends below b(n*-1) - 1,
-    so the parts come out sorted and separated, all at or below the horizon
-    and, as bottoms are at least b(1) = d(d-3)/2 - 2 > 0 for d >= 5, above 0.
+    are those at n <= n*-2.  These are also the k windows whose top is at
+    most the horizon, which ``_first_n_reaching`` finds: the windows at
+    n*-2 and n*-1 do not join, so p_a(d, n*-2) < b(n*-1) - 1, while
+    p_a(d, n*-1) >= b(n*-1), and p_a increases in n.  No two consecutive
+    windows below n* join, and the last ends below b(n*-1) - 1, so the parts
+    come out sorted and separated, all at or below the horizon and, as
+    bottoms are at least b(1) = d(d-3)/2 - 2 > 0 for d >= 5, above 0.
 
-    Only the window at n = 1 is evaluated; each later one is stepped from
-    the one before with exact integers.  Every window read has n <= n*-1
-    <= d-1, and for n < d the dimension is l(n) = C(n+3,3) - 1.  So the
-    steps are the identities
+    Only the window at n = 1 is evaluated; the later tops and dimensions
+    are running sums of arithmetic progressions of exact integers, taken by
+    ``accumulate``, so no Python step runs per window.  Every window read
+    has n <= n*-2 < d, and for n < d the dimension is l(n) = C(n+3,3) - 1.
+    So the steps are the identities
 
-        p_a(d, n+1) - p_a(d, n) = d(2n+d-3)/2,
+        p_a(d, n+1) - p_a(d, n) = d(2n+d-3)/2 = d*n + d(d-3)/2,
         l(n+1) - l(n) = C(n+4,3) - C(n+3,3) = C(n+3,2)   (n+1 < d),
 
-    which ``tests/test_gapmap.py`` proves for every d and n; d(2n+d-3) has
-    the parity of d(d-3), which is even as d and d-3 have opposite parity.
+    which ``tests/test_gapmap.py`` proves for every d and n; d(d-3) is even
+    as d and d-3 have opposite parity.  The top steps rise by d, and the
+    dimension steps C(n+3,2) rise by n+3 from C(4,2) = 6.
     """
-    bounds: list[int] = []
+    k = _first_n_reaching(d, horizon + 1) - 1
+    if k == 0:
+        return IntervalSet()
     lo, top = _window(d, 1)
-    dim = top - lo
-    n = 1
-    while lo <= horizon:
-        bounds += lo, top
-        top += d * (2 * n + d - 3) // 2
-        dim += (n + 3) * (n + 2) // 2
-        lo = top - dim
-        n += 1
+    h = d * (d - 3) // 2
+    tops = list(accumulate(range(d + h, d * k + h, d), initial=top))
+    dims = accumulate(accumulate(range(4, k + 2), initial=6), initial=top - lo)
+    bounds = [0] * (2 * k)
+    bounds[0::2] = map(sub, tops, dims)
+    bounds[1::2] = tops
     return IntervalSet._separated(tuple(bounds))
 
 

@@ -23,9 +23,12 @@ from bisect import bisect_left, bisect_right
 from functools import total_ordering
 from itertools import cycle
 from operator import add, attrgetter
-from typing import Iterable, Iterator
 
 from ._value import Value, setters
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Iterator
 
 
 @total_ordering

@@ -25,6 +25,7 @@ from genusgaps import cases as case_mod
 from genusgaps import cli
 from genusgaps.cases import CheckResult, VerificationReport
 from genusgaps.gapmap import decompose
+from genusgaps.intervals import Interval, IntervalSet
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -582,6 +583,29 @@ class TestJsonEmitter:
     def test_flat_records(self, value):
         assert cli._json(value, "") == json.dumps(value, sort_keys=True, indent=2)
 
+    # the empty set, one-point parts, and bounds past 10**12 and 10**40
+    @pytest.mark.parametrize("pad", ["", "  ", "      "])
+    @pytest.mark.parametrize("pairs", [
+        [], [(0, 0)], [(3, 3), (5, 9), (11, 11)],
+        [(10**12 + 1, 10**12 + 1), (10**12 + 3, 7 * 10**15)], [(0, 2), (10**40, 10**41)],
+    ])
+    def test_interval_set_is_its_pair_list(self, pairs, pad):
+        s = IntervalSet(Interval(lo, hi) for lo, hi in pairs)
+        want = json.dumps(s.to_pairs(), sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        assert cli._json(s, pad) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**13), st.integers(0, 3)), max_size=6))
+    def test_drawn_interval_sets(self, spans):
+        s = IntervalSet(Interval(lo, lo + width) for lo, width in spans)
+        want = json.dumps({"certified": s.to_pairs()}, sort_keys=True, indent=2)
+        assert cli._json({"certified": s}, "") == want
+
+    def test_interval_sets_nested_in_table_rows(self):
+        payload = {"rows": [cli._decomposition(decompose(d)).fields() for d in (4, 5, 6, 9, 60)]}
+        want = json.dumps(payload, default=IntervalSet.to_pairs, sort_keys=True, indent=2)
+        assert cli._json(payload, "") == want
+
     def test_no_render_reaches_the_pure_python_encoder(self, capsys, monkeypatch):
         calls = []
         make = json.encoder._make_iterencode
@@ -765,17 +789,32 @@ class TestPlainRoute:
         assert code in (0, 1, 2) and "Traceback" not in err
 
 
-def test_plain_argv_imports_no_argparse():
-    """A plain query loads neither argparse nor gettext beyond what a bare interpreter loads."""
+def _added_by_plain_status(*flags: str) -> set[str]:
+    """Modules that a plain ``status 6 13`` loads beyond a bare interpreter run with ``flags``."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     show = "import sys; print(*sys.modules, sep='\\n', file=sys.stderr)"
 
     def loaded(code: str) -> set[str]:
-        proc = subprocess.run([sys.executable, "-I", "-c", code],
+        proc = subprocess.run([sys.executable, *flags, "-c", code],
                               capture_output=True, text=True, check=True)
         return set(proc.stderr.split())
 
     query = f"import sys; sys.path.insert(0, {src!r}); from genusgaps import cli; "
     query += "cli.main(['status', '6', '13']); "
-    added = loaded(query + show) - loaded(show)
+    return loaded(query + show) - loaded(show)
+
+
+def test_plain_argv_imports_no_argparse():
+    """A plain query loads neither argparse nor gettext beyond what a bare interpreter loads."""
+    added = _added_by_plain_status("-I")
     assert "genusgaps.cli" in added and not {"argparse", "gettext"} & added, added
+
+
+def test_plain_status_imports_only_what_it_needs():
+    """Nor typing, json, re, enum, pathlib or importlib.resources, seen without ``site``.
+
+    ``-S`` keeps the site's ``.pth`` files from loading them before the query.
+    """
+    added = _added_by_plain_status("-I", "-S")
+    unneeded = {"typing", "json", "re", "enum", "pathlib", "importlib.resources"}
+    assert "genusgaps.cli" in added and not unneeded & added, added

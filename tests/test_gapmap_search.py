@@ -6,7 +6,7 @@ the earlier ``certify_nongap``, ``refined_horizon`` and
 cutting degree up to d and assume neither monotonicity fact.
 ``_scan_window_parts`` is the later one-pass ``_window_union_within``,
 which evaluates ``_window`` at every n, kept as the oracle of the
-forward-difference scan that replaced it.  ``_normalized_unknown`` is the
+arithmetic progressions that replaced it.  ``_normalized_unknown`` is the
 earlier path to the Unknown parts: the union normalized through
 ``IntervalSet``'s sort-and-merge, then the cursor walk of the complement.  The
 work-count tests pin the cost of the searches by counting the formula
@@ -19,7 +19,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genusgaps import gapmap
@@ -166,6 +166,23 @@ class TestAgainstScans:
             got = gapmap._window_union_within(d, horizon)
             assert got.parts == _scan_window_parts(d, horizon).parts, d
 
+    # 5 has no window below its horizon and 6 the fewest of any other degree
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 10**6))
+    @example(5)
+    @example(6)
+    def test_window_progressions_match_window_per_n(self, d):
+        horizon = refined_horizon(d)
+        got = gapmap._window_union_within(d, horizon)
+        assert got.parts == _scan_window_parts(d, horizon).parts
+
+    def test_only_degree_five_has_at_most_one_window(self):
+        # k = n* - 2 windows lie below the horizon, and by fact (b) n* <= 3 iff
+        # the windows at 2 and 3 join: l(3) = 19 >= d(d+1)/2 - 1, so d(d+1) <= 40
+        assert [d for d in range(5, 200) if contiguity_holds(d, 3)] == [5]
+        parts = [gapmap._window_union_within(d, refined_horizon(d)).parts for d in (5, 6)]
+        assert list(map(len, parts)) == [0, 2]
+
     @pytest.mark.parametrize("d", [10**5, 2 * 10**5])
     def test_refined_horizon_at_large_degree(self, d):
         assert refined_horizon(d) == _scan_refined_horizon(d)
@@ -197,9 +214,10 @@ class TestWorkCounts:
         refined_horizon(d)
         assert counted["contiguity_holds"] <= d.bit_length() + 2
 
-    @pytest.mark.parametrize("d", [50, 999, 54321])
+    @pytest.mark.parametrize("d", [5, 50, 999, 54321, 10**6])
     def test_decompose_is_output_sensitive(self, counted, d):
-        # least n with joined windows; by fact (b) the joins from there on never break
-        n_star = next(n for n in range(1, d + 1) if contiguity_holds(d, n))
+        # refined_horizon bisects for n* and evaluates one window, and
+        # _window_union_within one more; the later windows are progressions
         decompose(d)
-        assert counted["linsys_dim"] <= n_star + 2 * d.bit_length()
+        assert counted["linsys_dim"] <= 2
+        assert counted["contiguity_holds"] <= d.bit_length() + 2
