@@ -4,8 +4,9 @@ Subcommands: ``status``, ``decompose``, ``bounds``, ``table``, ``certify``,
 ``verify``; all accept ``--format table|json|csv``.  Output is a pure
 function of the arguments (byte-identical across runs), numbers are always
 full decimal, and exit codes are 0 (success), 1 (verification failure),
-2 (usage error) and nothing else.  A closed stdout is not an error: the
-command keeps its own exit code and prints no traceback.
+2 (usage error, or a case table that is malformed or cannot be read) and
+nothing else.  A closed stdout is not an error: the command keeps its own
+exit code and prints no traceback.
 
 Each command returns one :class:`Record` and never sees ``--format``:
 the record says how to build its answer in each shape, and ``main``
@@ -122,7 +123,8 @@ def main(argv: list[str] | None = None) -> int:
         record = args.run(args)
         # rendering raises ValueError too: an int beyond sys.get_int_max_str_digits()
         out = _render(args, record)
-    except ValueError as exc:
+    except (ValueError, case_mod.CaseDataError, OSError) as exc:
+        # a malformed or unreadable case table is a usage error, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -306,6 +306,16 @@ def decompose(d: int) -> GapDecomposition:
     and 2 never join there, so n* >= 3.  So clipping cuts neither range,
     and ``proved_sources`` pairs exactly the parts of ``proved_gaps`` with
     their sources.
+
+    The same facts read the Unknown parts off the windows alone: for every
+    d >= 5 their complement within [0, horizon] starts with exactly the
+    proved parts.  Xu-initial is its gap [0, b(1) - 1] below the first
+    window.  For d >= 6, MainTheorem-Gaps1 is its gap [p_a(d, 1) + 1,
+    b(2) - 1] between the first two, as window 2 lies below the horizon:
+    only d = 5 has n* <= 3 (``tests/test_gapmap_search.py`` checks this).
+    At d = 5 no window lies below the horizon b(1) - 1, and the complement
+    is the Xu-initial range alone.  So the Unknown parts are the
+    complement's bounds after the proved ones, already sorted and separated.
     """
     _check_d(d, 4)
     if d == 4:
@@ -327,7 +337,9 @@ def decompose(d: int) -> GapDecomposition:
         d=d,
         horizon=horizon,
         proved_gaps=proved,
-        unknown_candidates=proved.union(certified).complement_within(bound),
+        unknown_candidates=IntervalSet._separated(
+            certified.complement_within(bound).bounds[len(proved.bounds):]
+        ),
         nongap_certified=certified,
         proved_sources=sources,
     )

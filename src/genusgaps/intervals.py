@@ -9,10 +9,10 @@ of integer bounds, ``bounds = (lo0, hi0, lo1, hi1, ...)``, which never
 decreases (a one-integer part repeats its value); the ``Interval`` parts
 are built from it on each read.
 
-Only the constructor sorts and merges.  ``union``, ``clip`` and
-``complement_within`` build their bounds in order from already separated
-sets and keep them without re-normalizing: the union merges two sorted
-part lists, clipping shrinks the end parts, so the gaps between the
+Only the constructor sorts and merges, and ``union`` is the constructor
+over both sets' parts.  ``clip`` and ``complement_within`` build their
+bounds in order from an already separated set and keep them without
+re-normalizing: clipping shrinks the end parts, so the gaps between the
 survivors only widen, and the complement's parts are the gaps between
 consecutive parts, so a nonempty part lies between any two of them.
 """
@@ -104,32 +104,8 @@ class IntervalSet(Value):
         return tuple(map(Interval, b[0::2], b[1::2]))
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        """Union of two normalized sets, merged in one pass without re-sorting.
-
-        Each part of the smaller set takes, through ``_meeting``, the run of
-        parts of the larger one that touch it and absorbs them; the parts of
-        the larger set between the previous run and this one are copied
-        whole.  A part that touches the last part placed merges with it and
-        takes that part's run again, so nothing is copied twice.  Parts
-        already emitted end more than one below the next part placed, so the
-        result is sorted and separated, in O(m log n + n) steps for m <= n
-        parts.
-        """
-        small, big = sorted((self.bounds, other.bounds), key=len)
-        out: list[int] = []
-        k = 0  # big[:k] is placed
-        for lo, hi in zip(small[0::2], small[1::2]):
-            if out and lo <= out[-1] + 1:  # touches the last part placed from small
-                hi = max(hi, out.pop())
-                lo = out.pop()
-            run = _meeting(big, lo - 1, hi + 1)
-            out += big[k:run.start]
-            if run.start < run.stop:
-                lo, hi = min(lo, big[run.start]), max(hi, big[run.stop - 1])
-            out += lo, hi
-            k = run.stop
-        out += big[k:]
-        return IntervalSet._separated(tuple(out))
+        """Union of the two sets: the constructor over both sets' parts."""
+        return IntervalSet((*self, *other))
 
     def complement_within(self, bound: Interval) -> "IntervalSet":
         """Integers of ``bound`` not in this set, as a normalized set.
@@ -179,10 +155,6 @@ class IntervalSet(Value):
     def count(self) -> int:
         b = self.bounds
         return sum(b[1::2]) - sum(b[0::2]) + len(b) // 2
-
-    def to_pairs(self) -> list[list[int]]:
-        b = self.bounds
-        return list(map(list, zip(b[0::2], b[1::2])))
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)

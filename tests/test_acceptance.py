@@ -45,8 +45,8 @@ def cube_root_ceil(value: int) -> int:
 def test_criterion_1_quintic_gaps():
     t0 = time.monotonic()
     dec = decompose(5)
-    assert dec.proved_gaps.to_pairs() == [[0, 2]]
-    assert dec.unknown_candidates.to_pairs() == []
+    assert dec.proved_gaps.bounds == (0, 2)
+    assert dec.unknown_candidates.bounds == ()
     for g in range(3, 10_001):
         assert certify_nongap(5, g) is not None, g
     elapsed = time.monotonic() - t0
@@ -197,11 +197,11 @@ def test_criterion_9_interval_algebra_against_bitset():
 
 def test_criterion_10_sextic_and_septic_decompositions():
     d6 = decompose(6)
-    assert d6.proved_gaps.to_pairs() == [[0, 6], [11, 15]]
-    assert d6.unknown_candidates.to_pairs() == [[26, 26]]
+    assert d6.proved_gaps.bounds == (0, 6, 11, 15)
+    assert d6.unknown_candidates.bounds == (26, 26)
     assert d6.horizon == 26
     d7 = decompose(7)
-    assert d7.proved_gaps.to_pairs() == [[0, 11], [16, 26]]
-    assert d7.unknown_candidates.to_pairs() == [[37, 44]]
+    assert d7.proved_gaps.bounds == (0, 11, 16, 26)
+    assert d7.unknown_candidates.bounds == (37, 44)
     assert d7.horizon == 44
     report(10, "degree-6 and degree-7 decompositions match their certified values")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cases import shipped
 from test_cli_golden import GOLDEN
 from test_values import rebuild
 
@@ -147,6 +149,11 @@ class TestDecompose:
             assert json.dumps(payload, sort_keys=True, indent=2) == out.strip()
 
 
+def _pairs(s: IntervalSet) -> list[list[int]]:
+    """The ``[lo, hi]`` pair list that JSON output writes for an ``IntervalSet``."""
+    return [[part.lo, part.hi] for part in s]
+
+
 def _generic_decomposition(dec) -> tuple[dict, list[list[object]], list[str]]:
     """JSON fields, CSV cells and table lines of one decomposition, built generically.
 
@@ -162,7 +169,7 @@ def _generic_decomposition(dec) -> tuple[dict, list[list[object]], list[str]]:
     fields = {
         "d": dec.d,
         "horizon": dec.horizon,
-        **{kind: parts.to_pairs() for kind, _, parts in kinds},
+        **{kind: _pairs(parts) for kind, _, parts in kinds},
         "sources": [{"lo": p.lo, "hi": p.hi, "source": src} for p, src in dec.proved_sources],
     }
     if dec.horizon < 0:
@@ -342,6 +349,32 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "cases")
         assert rc == 1
         assert "FAIL" in out
+
+    # a damaged install: the table is malformed or missing, or cannot be read
+    @pytest.mark.parametrize("exc", [
+        case_mod.CaseDataError("case 'x' has no 'gamma'"),
+        FileNotFoundError(2, "No such file or directory", "data/cases.json"),
+        PermissionError(13, "Permission denied", "data/cases.json"),
+    ], ids=["case-data", "missing", "unreadable"])
+    @pytest.mark.parametrize("scope", ["cases", "kappa", "all"])
+    def test_unusable_case_table_is_a_usage_error(self, capsys, monkeypatch, scope, exc):
+        def broken(path=None):
+            raise exc
+
+        monkeypatch.setattr(case_mod, "load_cases", broken)
+        for fmt in ("table", "json", "csv"):
+            assert run(capsys, "verify", scope, "--format", fmt) == (2, "", f"error: {exc}\n")
+
+    def test_record_without_gamma_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        doc = copy.deepcopy(shipped())
+        del doc["cases"][0]["gamma"]
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        load = case_mod.load_cases
+        with pytest.raises(case_mod.CaseDataError, match="gamma") as exc:
+            load(path)
+        monkeypatch.setattr(case_mod, "load_cases", lambda: load(path))
+        assert run(capsys, "verify", "all") == (2, "", f"error: {exc.value}\n")
 
 
 class TestUsage:
@@ -591,19 +624,19 @@ class TestJsonEmitter:
     ])
     def test_interval_set_is_its_pair_list(self, pairs, pad):
         s = IntervalSet(Interval(lo, hi) for lo, hi in pairs)
-        want = json.dumps(s.to_pairs(), sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        want = json.dumps(_pairs(s), sort_keys=True, indent=2).replace("\n", "\n" + pad)
         assert cli._json(s, pad) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10**13), st.integers(0, 3)), max_size=6))
     def test_drawn_interval_sets(self, spans):
         s = IntervalSet(Interval(lo, lo + width) for lo, width in spans)
-        want = json.dumps({"certified": s.to_pairs()}, sort_keys=True, indent=2)
+        want = json.dumps({"certified": _pairs(s)}, sort_keys=True, indent=2)
         assert cli._json({"certified": s}, "") == want
 
     def test_interval_sets_nested_in_table_rows(self):
         payload = {"rows": [cli._decomposition(decompose(d)).fields() for d in (4, 5, 6, 9, 60)]}
-        want = json.dumps(payload, default=IntervalSet.to_pairs, sort_keys=True, indent=2)
+        want = json.dumps(payload, default=_pairs, sort_keys=True, indent=2)
         assert cli._json(payload, "") == want
 
     def test_no_render_reaches_the_pure_python_encoder(self, capsys, monkeypatch):

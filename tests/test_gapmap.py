@@ -5,9 +5,10 @@ from __future__ import annotations
 import itertools
 import random
 from math import comb
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genusgaps.formulas import arithmetic_genus, contiguity_holds, linsys_dim
@@ -31,7 +32,7 @@ from genusgaps.gapmap import (
     second_gap_interval,
     status,
 )
-from genusgaps.intervals import Interval
+from genusgaps.intervals import Interval, IntervalSet
 
 
 def brute_certificate(d: int, g: int, n_max: int) -> tuple[int, int] | None:
@@ -216,15 +217,15 @@ class TestDecompose:
         assert not d4.proved_gaps and not d4.unknown_candidates
         assert initial_gap_interval(4) is None  # [0, d(d-3)/2 - 3] is [0, -1]
         d5 = decompose(5)
-        assert d5.proved_gaps.to_pairs() == [[0, 2]]
+        assert d5.proved_gaps.bounds == (0, 2)
         assert not d5.unknown_candidates
         d6 = decompose(6)
-        assert d6.proved_gaps.to_pairs() == [[0, 6], [11, 15]]
-        assert d6.unknown_candidates.to_pairs() == [[26, 26]]
+        assert d6.proved_gaps.bounds == (0, 6, 11, 15)
+        assert d6.unknown_candidates.bounds == (26, 26)
         assert d6.horizon == 26
         d7 = decompose(7)
-        assert d7.proved_gaps.to_pairs() == [[0, 11], [16, 26]]
-        assert d7.unknown_candidates.to_pairs() == [[37, 44]]
+        assert d7.proved_gaps.bounds == (0, 11, 16, 26)
+        assert d7.unknown_candidates.bounds == (37, 44)
         assert d7.horizon == 44
 
     def test_proved_layers_never_empty(self):
@@ -282,6 +283,39 @@ class TestDecompose:
                 assert part is not None
                 for g in range(part.lo, part.hi + 1):
                     assert certify_nongap(d, g) is None, (d, g)
+
+    @staticmethod
+    def _check_unknown_read_off_the_complement(d: int) -> None:
+        """``decompose(d)`` runs without ``IntervalSet.union``.
+
+        The complement of its windows within [0, horizon] is its proved
+        parts, then its Unknown parts.
+        """
+        def refuse(self, other):
+            raise AssertionError("decompose called IntervalSet.union")
+
+        with mock.patch.object(IntervalSet, "union", refuse):
+            dec = decompose(d)
+        if d == 4:  # no horizon, nothing to complement
+            return
+        complement = dec.nongap_certified.complement_within(Interval(0, dec.horizon))
+        k = len(dec.proved_gaps.bounds)
+        assert complement.bounds[:k] == dec.proved_gaps.bounds, d
+        assert complement.bounds[k:] == dec.unknown_candidates.bounds, d
+
+    @pytest.mark.parametrize("d", [*range(4, 61), 50000])
+    def test_unknown_read_off_the_complement(self, d):
+        self._check_unknown_read_off_the_complement(d)
+
+    # 5 has no window below its horizon, 6 is the least degree with the
+    # MainTheorem-Gaps1 range, and 7 the next
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 10**6))
+    @example(5)
+    @example(6)
+    @example(7)
+    def test_unknown_read_off_the_complement_drawn(self, d):
+        self._check_unknown_read_off_the_complement(d)
 
     # Each proved range ends next to a window, so by fact (a) (the window
     # bottoms b(n) = p_a(d, n) - l(d, n) never decrease, see

@@ -27,7 +27,7 @@ MODULE_NAMES = {
 # classes are probed through instances, as ``type`` itself defines ``__or__``
 DELETED = [
     (IntervalSet(), "of"), (IntervalSet(), "empty"), (IntervalSet(), "contains"),
-    (IntervalSet(), "__or__"), (Interval(0, 0), "to_pair"),
+    (IntervalSet(), "__or__"), (IntervalSet(), "to_pairs"), (Interval(0, 0), "to_pair"),
     (DivisorClass((0,)), "__neg__"), (DivisorClass((0,)), "zero"),
     (picard, "builtin_names"), (picard, "export_lattices"), (genusgaps, "export_lattices"),
 ]
