@@ -5,8 +5,9 @@ Subcommands: ``status``, ``decompose``, ``bounds``, ``table``, ``certify``,
 function of the arguments (byte-identical across runs), numbers are always
 full decimal, and exit codes are 0 (success), 1 (verification failure),
 2 (usage error, or a case table that is malformed or cannot be read) and
-nothing else.  A closed stdout is not an error: the command keeps its own
-exit code and prints no traceback.
+nothing else.  A usage error prints one ``error:`` line, its control
+characters escaped as ``repr`` does.  A closed stdout is not an error: the
+command keeps its own exit code and prints no traceback.
 
 Each command returns one :class:`Record` and never sees ``--format``:
 the record says how to build its answer in each shape, and ``main``
@@ -69,6 +70,8 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = "1"
 DECOMPOSITION_HEADER = ["d", "kind", "lo", "hi", "source"]
 FORMATS = ("table", "json", "csv")
+# the C0 and C1 controls, DEL and the Unicode line breaks, each as repr escapes it
+_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(32), *range(127, 160), 0x2028, 0x2029)}
 
 
 class Record(Value):
@@ -125,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         out = _render(args, record)
     except (ValueError, case_mod.CaseDataError, OSError) as exc:
         # a malformed or unreadable case table is a usage error, not a failed check
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ESCAPES)}", file=sys.stderr)
         return 2
     try:
         sys.stdout.write(out)

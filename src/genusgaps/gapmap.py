@@ -23,6 +23,7 @@ non-gaps this tool cannot certify).
 from __future__ import annotations
 
 from itertools import accumulate
+from math import isqrt
 from operator import sub
 
 from ._value import Value, setters
@@ -179,14 +180,6 @@ def coarse_horizon(d: int) -> int:
     return d * (d - 1) * (5 * d - 19) // 6 - 1
 
 
-def _least(holds, lo: int, hi: int) -> int:
-    """Least n in [lo, hi] with holds(n), for a predicate that is an upper ray true at hi."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
-    return lo
-
-
 def refined_horizon(d: int) -> int:
     """Tightest window-chaining horizon: gaps can only live in [0, this value].
 
@@ -202,16 +195,34 @@ def refined_horizon(d: int) -> int:
     that is d(d^2 - 3d + 26) >= 0, which always holds.
     """
     _check_d(d, 5)
-    n_star = _least(lambda n: contiguity_holds(d, n), 1, d)
-    return realizable_interval(d, n_star - 1).lo - 1
+    lo, hi = 1, d
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if contiguity_holds(d, mid) else (mid + 1, hi)
+    return realizable_interval(d, lo - 1).lo - 1
 
 
 def _first_n_reaching(d: int, g: int) -> int:
-    """Least n >= 1 with arithmetic_genus(d, n) >= g (genus is increasing for d >= 4)."""
-    lo, hi = 1, 1
-    while arithmetic_genus(d, hi) < g:
-        lo, hi = hi + 1, hi * 2
-    return _least(lambda n: arithmetic_genus(d, n) >= g, lo, hi)
+    """Least n >= 1 with arithmetic_genus(d, n) >= g, for d >= 4, in closed form.
+
+    With c = d - 4 >= 0, p_a(d, n) = 1 + d n(n + c)/2, so p_a >= g iff
+    n(n + c) >= 2(g - 1)/d, that is, as n(n + c) is an integer, iff
+    n(n + c) >= m = ceil(2(g - 1)/d).  If m <= 0 every n >= 1 qualifies.
+    Otherwise let s = isqrt(c^2 + 4m), so s^2 <= c^2 + 4m < (s + 1)^2, and
+    n0 = (s - c) // 2 >= 0.  Two sign facts bracket the answer:
+
+    * 2 n0 + c <= s, so 4 n0(n0 + c) = (2 n0 + c)^2 - c^2 <= s^2 - c^2 <= 4m;
+    * 2 n0 + 2 + c >= s + 1, so 4 (n0 + 1)(n0 + 1 + c) >= (s + 1)^2 - c^2 > 4m.
+
+    n(n + c) increases in n >= 0, so the least n with n(n + c) >= m is n0
+    or n0 + 1, and one test decides which; n0 passes it only if n0 >= 1, as
+    m >= 1.  ``tests/test_gapmap.py`` proves these facts.
+    """
+    c, m = d - 4, -(-2 * (g - 1) // d)
+    if m <= 0:
+        return 1
+    n0 = (isqrt(c * c + 4 * m) - c) // 2
+    return n0 if n0 * (n0 + c) >= m else n0 + 1
 
 
 def certify_nongap(d: int, g: int) -> Certificate | None:
@@ -219,6 +230,7 @@ def certify_nongap(d: int, g: int) -> Certificate | None:
 
     Windows below n = _first_n_reaching(d, g) end below g, so n is the only
     candidate: by fact (a), if its window starts above g so do all later ones.
+    As n comes from one ``isqrt``, a query evaluates that one window alone.
 
     Fact (a): for d >= 4 the window bottoms b(n) = p_a - l never decrease
     in n >= 1.  The step s(n) = b(n) - b(n-1) is, for 2 <= n < d, the concave
@@ -260,12 +272,13 @@ def _window_union_within(d: int, horizon: int) -> IntervalSet:
     ``refined_horizon``), and window bottoms never decrease (fact (a), see
     ``certify_nongap``).  So the windows that start at or below the horizon
     are those at n <= n*-2.  These are also the k windows whose top is at
-    most the horizon, which ``_first_n_reaching`` finds: the windows at
-    n*-2 and n*-1 do not join, so p_a(d, n*-2) < b(n*-1) - 1, while
-    p_a(d, n*-1) >= b(n*-1), and p_a increases in n.  No two consecutive
-    windows below n* join, and the last ends below b(n*-1) - 1, so the parts
-    come out sorted and separated, all at or below the horizon and, as
-    bottoms are at least b(1) = d(d-3)/2 - 2 > 0 for d >= 5, above 0.
+    most the horizon, so k + 1 = _first_n_reaching(d, horizon + 1), taken in
+    closed form: the windows at n*-2 and n*-1 do not join, so
+    p_a(d, n*-2) < b(n*-1) - 1, while p_a(d, n*-1) >= b(n*-1), and p_a
+    increases in n.  No two consecutive windows below n* join, and the last
+    ends below b(n*-1) - 1, so the parts come out sorted and separated, all
+    at or below the horizon and, as bottoms are at least
+    b(1) = d(d-3)/2 - 2 > 0 for d >= 5, above 0.
 
     Only the window at n = 1 is evaluated; the later tops and dimensions
     are running sums of arithmetic progressions of exact integers, taken by

@@ -376,6 +376,36 @@ class TestVerify:
         monkeypatch.setattr(case_mod, "load_cases", lambda: load(path))
         assert run(capsys, "verify", "all") == (2, "", f"error: {exc.value}\n")
 
+    # a control character in a record id must not split or recolour the error line
+    @pytest.mark.parametrize("ch", ["\n", "\r", "\x1b", "\r\n", "\x85", "\u2028"])
+    def test_control_character_in_id_keeps_one_error_line(self, capsys, monkeypatch, tmp_path,
+                                                           ch):
+        doc = copy.deepcopy(shipped())
+        doc["cases"][0]["id"] = f"cubic{ch}x"
+        del doc["cases"][0]["gamma"]
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        load = case_mod.load_cases
+        monkeypatch.setattr(case_mod, "load_cases", lambda: load(path))
+        for scope in ("cases", "kappa", "all"):
+            rc, out, err = run(capsys, "verify", scope)
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: ") and err.endswith("\n") and err[:-1].isprintable()
+            assert f"cubic{ascii(ch)[1:-1]}x" in err
+
+    @pytest.mark.parametrize("exc, line", [
+        (case_mod.CaseDataError("cubic\nx: missing key 'gamma'"),
+         "error: cubic\\nx: missing key 'gamma'\n"),
+        (PermissionError(13, "Permission\r\x1b[2Kdenied", "data/cases.json"),
+         "error: [Errno 13] Permission\\r\\x1b[2Kdenied: 'data/cases.json'\n"),
+    ], ids=["case-data", "unreadable"])
+    def test_control_characters_in_any_message_are_escaped(self, capsys, monkeypatch, exc, line):
+        def broken(path=None):
+            raise exc
+
+        monkeypatch.setattr(case_mod, "load_cases", broken)
+        assert run(capsys, "verify", "all") == (2, "", line)
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import comb
+from math import comb, isqrt
 from unittest import mock
 
 import pytest
@@ -514,3 +514,49 @@ class TestWindowFacts:
             assert all(bottom(d, n) <= bottom(d, n + 1) for n in range(1, 3 * d)), d
             joins = [contiguity_holds(d, n) for n in range(1, d + 1)]
             assert joins == sorted(joins) and joins[-1], d
+
+
+class TestInversionFacts:
+    """The facts ``_first_n_reaching``'s closed form rests on, proved for every d and g.
+
+    With c = d - 4 and m = ceil(2(g - 1)/d), p_a(d, n) >= g iff
+    n(n + c) >= m for n >= 1.  For m >= 1, n0 = (isqrt(c^2 + 4m) - c) // 2
+    has n0(n0 + c) <= m < (n0 + 1)(n0 + 1 + c), so the least n with
+    n(n + c) >= m is n0 or n0 + 1.  Identities are read on grids, as in
+    ``TestWindowFacts``; the inequalities, which rest on them and on
+    s^2 <= c^2 + 4m < (s + 1)^2 for s = isqrt(c^2 + 4m), are checked on
+    drawn values, perfect squares c^2 + 4m among them.
+    """
+
+    def test_product_identity(self):
+        # 4n(n + c) = (2n + c)^2 - c^2; degree 2 in n and in c
+        for n, c in [*itertools.product((0, 1, 2), repeat=2), (10**12, 10**30)]:
+            assert 4 * n * (n + c) == (2 * n + c) ** 2 - c * c
+
+    def test_genus_identity(self):
+        # 2(p_a(d, n) - 1) = d n(n + c); degree 2 in d and in n
+        for d, n in [*itertools.product((4, 5, 6), (0, 1, 2)), (10**30, 10**12)]:
+            assert 2 * (arithmetic_genus(d, n) - 1) == d * n * (n + d - 4)
+
+    # m = t(t + c) makes c^2 + 4m = (2t + c)^2 a perfect square, and
+    # m = t(t + c) -+ 1 sits next to it
+    @settings(max_examples=500)
+    @given(st.integers(0, 10**30), st.integers(0, 10**30), st.sampled_from([0, -1, 1, None]),
+           st.integers(1, 10**70))
+    @example(0, 1, 0, 1)
+    @example(0, 0, None, 1)
+    def test_isqrt_brackets_m(self, c, t, step, free):
+        m = free if step is None else max(1, t * (t + c) + step)
+        n0 = (isqrt(c * c + 4 * m) - c) // 2
+        assert n0 * (n0 + c) <= m < (n0 + 1) * (n0 + 1 + c)
+
+    # g next to the window tops at n - 1, n and n + 1, and free g, g <= 1 included
+    @settings(max_examples=500)
+    @given(st.integers(4, 10**30), st.integers(1, 10**12), st.integers(-1, 1),
+           st.integers(-2, 2), st.one_of(st.none(), st.integers(0, 10**70)))
+    @example(4, 1, 0, 0, 0)
+    @example(4, 1, 0, 0, 1)
+    def test_genus_reaches_g_iff_product_reaches_m(self, d, n, shift, step, free):
+        g = arithmetic_genus(d, n + shift) + step if free is None else free
+        m = -(-2 * (g - 1) // d)
+        assert (arithmetic_genus(d, n) >= g) == (n * (n + d - 4) >= m)

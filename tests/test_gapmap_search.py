@@ -4,6 +4,10 @@
 the earlier ``certify_nongap``, ``refined_horizon`` and
 ``_window_union_within`` loops, kept verbatim as oracles: they walk every
 cutting degree up to d and assume neither monotonicity fact.
+``_bisect_first_n_reaching`` is the earlier ``_first_n_reaching``, a
+doubling search and a bisection on ``arithmetic_genus``, kept as the oracle
+of the closed-form inversion that replaced it; ``_scan_certify`` starts
+from it.
 ``_scan_window_parts`` is the later one-pass ``_window_union_within``,
 which evaluates ``_window`` at every n, kept as the oracle of the
 arithmetic progressions that replaced it.  ``_normalized_unknown`` is the
@@ -25,9 +29,9 @@ from hypothesis import strategies as st
 from genusgaps import gapmap
 from genusgaps.formulas import arithmetic_genus, contiguity_holds, linsys_dim
 from genusgaps.gapmap import (
+    CERTIFIED_NONGAP,
     UNKNOWN,
     Certificate,
-    GapStatus,
     _first_n_reaching,
     certify_nongap,
     decompose,
@@ -38,8 +42,18 @@ from genusgaps.gapmap import (
 from genusgaps.intervals import Interval, IntervalSet
 
 
+def _bisect_first_n_reaching(d: int, g: int) -> int:
+    lo, hi = 1, 1
+    while arithmetic_genus(d, hi) < g:
+        lo, hi = hi + 1, hi * 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if arithmetic_genus(d, mid) >= g else (mid + 1, hi)
+    return lo
+
+
 def _scan_certify(d: int, g: int) -> Certificate | None:
-    n = _first_n_reaching(d, g)
+    n = _bisect_first_n_reaching(d, g)
     while True:
         lo = arithmetic_genus(d, n) - linsys_dim(d, n)
         if lo <= g:
@@ -188,9 +202,26 @@ class TestAgainstScans:
         assert refined_horizon(d) == _scan_refined_horizon(d)
 
 
+class TestInversionAgainstBisection:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(4, 10**30), st.integers(1, 10**12), st.sampled_from([0, 1, -1]),
+           st.integers(0, 10**70), st.sampled_from(["zero", "one", "window top", "free"]))
+    @example(4, 1, 0, 0, "window top")
+    @example(5, 1, 1, 0, "window top")
+    @example(10**30, 10**12, -1, 0, "window top")
+    @example(4, 1, 0, 10**70, "free")
+    def test_matches_the_bisection(self, d, n, step, free, kind):
+        # the edges are g = 0 and 1, which every window top reaches, and a
+        # window top p_a(d, n) and its neighbours, where the answer steps
+        g = {"zero": 0, "one": 1, "window top": arithmetic_genus(d, n) + step, "free": free}[kind]
+        assert _first_n_reaching(d, g) == _bisect_first_n_reaching(d, g), (d, g)
+        if kind == "window top":
+            assert _first_n_reaching(d, g) == n + (step == 1)
+
+
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the window and contiguity evaluations made by ``gapmap``."""
+    """Counts of the genus, dimension and contiguity evaluations made by ``gapmap``."""
     counts: Counter = Counter()
 
     def counting(name, fn):
@@ -199,15 +230,19 @@ def counted(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("linsys_dim", "contiguity_holds"):
+    for name in ("arithmetic_genus", "linsys_dim", "contiguity_holds"):
         monkeypatch.setattr(gapmap, name, counting(name, getattr(gapmap, name)))
     return counts
 
 
 class TestWorkCounts:
-    def test_status_between_windows_is_logarithmic(self, counted):
-        assert status(10**6, 10**15) == GapStatus(UNKNOWN)
-        assert counted["linsys_dim"] <= 64
+    # a genus between two windows, and a genus of 4001 digits inside one
+    @pytest.mark.parametrize("d, g, verdict", [(10**6, 10**15, UNKNOWN),
+                                               (7, 10**4000, CERTIFIED_NONGAP)],
+                             ids=["between-windows", "4001-digits"])
+    def test_status_reads_one_window(self, counted, d, g, verdict):
+        assert status(d, g).verdict == verdict
+        assert counted["linsys_dim"] == counted["arithmetic_genus"] == 1
 
     @pytest.mark.parametrize("d", [50, 999, 54321, 10**6])
     def test_refined_horizon_bisects(self, counted, d):
@@ -220,4 +255,5 @@ class TestWorkCounts:
         # _window_union_within one more; the later windows are progressions
         decompose(d)
         assert counted["linsys_dim"] <= 2
+        assert counted["arithmetic_genus"] <= 2
         assert counted["contiguity_holds"] <= d.bit_length() + 2
