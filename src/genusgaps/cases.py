@@ -22,9 +22,10 @@ template ``d*H - sum(param_i * class_i)`` with non-negative integer
 parameters, linear sweep constraints ``gamma . pencil >= min_value``, a
 family-dimension bound, and the check mode.  The table ships as JSON
 (``data/cases.json``, schema below) and is embedded in the package, so the
-verifier runs with zero configuration; ``load_cases`` accepts an external
-file with the same schema.  The JSON reader checks the exact type of every
-value, and the record checks what the values mean.
+verifier runs with zero configuration: ``load_cases`` reads it through the
+package's own loader, from a directory or a zip alike, and accepts an
+external file with the same schema.  The JSON reader checks the exact type
+of every value, and the record checks what the values mean.
 
 JSON schema (one object)::
 
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 from operator import mul
+from os.path import dirname, join
 
 from ._value import Value, setters
 from .formulas import arithmetic_genus, clemens_min_genus, cut_system_dim
@@ -314,17 +316,18 @@ class VerificationReport(Value):
 def load_cases(path: str | Path | None = None) -> tuple[CaseRecord, ...]:
     """Case records from an external JSON file, or the embedded table.
 
-    The file is read as UTF-8.  Bytes that are not UTF-8, and text that is
-    not JSON or nests too deep for the parser, raise ``CaseDataError``.
+    The embedded table is read by the loader that imported this module, from
+    a directory or a zip alike; a path is read with ``open``.  Either is read
+    as UTF-8.  Bytes that are not UTF-8, and text that is not JSON or nests
+    too deep for the parser, raise ``CaseDataError``.
     """
     import json  # here, as only a verify query reads the table
 
     if path is None:
-        from importlib import resources
-        data = resources.files("genusgaps").joinpath("data/cases.json").read_bytes()
+        data = __spec__.loader.get_data(join(dirname(__file__), "data", "cases.json"))
     else:
-        from pathlib import Path
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            data = file.read()
     try:
         doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:

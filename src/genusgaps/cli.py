@@ -79,7 +79,8 @@ class Record(Value):
 
     ``fields``, ``rows`` and ``lines`` take no arguments and build their
     shape when called; ``_render`` calls only the one its format needs.
-    ``rows`` returns finished CSV lines, most through ``_csv_row``.
+    ``rows`` returns finished CSV lines, most through ``_csv_row``.  An item
+    of ``rows`` or ``lines`` may hold several lines joined by newlines.
     """
 
     __slots__ = __match_args__ = ("fields", "header", "rows", "lines", "code")
@@ -316,16 +317,24 @@ def _decomposition(dec: GapDecomposition) -> Record:
 
     # The proved parts are written with their sources as ``decompose`` paired
     # them (its ranges are the proved parts), and each of the other two kinds
-    # as one string.  The three sets partition [0, horizon], so no two parts
-    # share a lo and sorting by lo is total.
+    # through one template.  The rows come in genus order with no sort: the
+    # windows (the certified parts) and their complement within [0, horizon]
+    # alternate, complement first and last, as the first window starts above
+    # 0, no two windows below the horizon join, and the last ends below it
+    # (see ``_window_union_within``).  The complement's parts are the proved
+    # ones, then the unknown ones (see ``decompose``), so their rows take the
+    # even places and the certified rows the odd ones.  ``tests/test_gapmap.py``
+    # proves the alternation for every d.
     u, c = unknown.bounds, certified.bounds
 
     def rows() -> list[str]:
-        out = ["%d,proved,%d,%d,%s" % (dec.d, p.lo, p.hi, src) for p, src in dec.proved_sources]
-        out += _each_part(f"{dec.d},unknown,%d,%d,", u).splitlines()
-        out += _each_part(f"{dec.d},certified,%d,%d,", c).splitlines()
-        los = [*proved.bounds[0::2], *u[0::2], *c[0::2]]
-        return list(map(out.__getitem__, sorted(range(len(los)), key=los.__getitem__)))
+        # one %-template, a certified row between each two complement rows,
+        # over the bounds of every part, interleaved in genus order
+        sides = [f"{dec.d},proved,%d,%d,{src}" for _, src in dec.proved_sources]
+        sides += [f"{dec.d},unknown,%d,%d,"] * (len(u) // 2)
+        g, bounds = proved.bounds + u, [0] * (len(proved.bounds) + len(u) + len(c))
+        bounds[0::4], bounds[1::4], bounds[2::4], bounds[3::4] = g[0::2], g[1::2], c[0::2], c[1::2]
+        return [f"\n{dec.d},certified,%d,%d,\n".join(sides) % tuple(bounds)]
 
     def lines() -> list[str]:
         out = [f"degree {dec.d}: gaps confined to [0,{dec.horizon}]"]

@@ -9,6 +9,7 @@ import json
 import pickle
 import subprocess
 import sys
+import zipfile
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -118,6 +119,32 @@ def mutation_sites(raw: dict):
     yield from raw["gamma"].get("subtract", ())
     yield from raw.get("constraints", ())
     yield raw["expected_neg_kappa"]
+
+
+def draw_mutated_table(data: st.DataObject) -> dict:
+    """A copy of the shipped table with one key of one record's JSON objects mutated.
+
+    The key is deleted, or set to a value of a wrong JSON type, to ``-1``,
+    to ``"K"``, to a basis label of the record's lattice or to a class name
+    only another lattice has.
+    """
+    doc = copy.deepcopy(shipped())
+    raw = data.draw(st.sampled_from(doc["cases"]), label="record")
+    site = data.draw(st.sampled_from(list(mutation_sites(raw))), label="object")
+    key = data.draw(st.sampled_from(sorted(site)), label="key")
+    lat = builtin_lattice(raw["lattice"])
+    foreign = sorted({label for other in BUILTINS for label in other.named}
+                     - {*lat.named, *lat.basis})
+    value = data.draw(st.sampled_from([
+        DELETE, None, "x", 1.5, True, [], {}, -1, "K",
+        data.draw(st.sampled_from(lat.basis), label="basis label"),
+        data.draw(st.sampled_from(foreign), label="foreign class"),
+    ]))
+    if value is DELETE:
+        del site[key]
+    else:
+        site[key] = value
+    return doc
 
 
 # The case-record reader as it stood before the one-pass key tables, kept
@@ -543,24 +570,8 @@ class TestCaseTable:
         # same message as their oracles; "K", a basis label of the record's
         # lattice and a class name only another lattice has must all resolve
         # through lat.cls
-        doc = copy.deepcopy(shipped())
-        raw = data.draw(st.sampled_from(doc["cases"]), label="record")
-        site = data.draw(st.sampled_from(list(mutation_sites(raw))), label="object")
-        key = data.draw(st.sampled_from(sorted(site)), label="key")
-        lat = builtin_lattice(raw["lattice"])
-        foreign = sorted({label for other in BUILTINS for label in other.named}
-                         - {*lat.named, *lat.basis})
-        value = data.draw(st.sampled_from([
-            DELETE, None, "x", 1.5, True, [], {}, -1, "K",
-            data.draw(st.sampled_from(lat.basis), label="basis label"),
-            data.draw(st.sampled_from(foreign), label="foreign class"),
-        ]))
-        if value is DELETE:
-            del site[key]
-        else:
-            site[key] = value
         path = tmp_path / "cases.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(draw_mutated_table(data)))
         got = load_outcome(path)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(case_mod, "_parse_record", oracle_parse_record)
@@ -578,6 +589,24 @@ class TestCaseTable:
         path.write_bytes(data)
         with pytest.raises(CaseDataError, match="^case table is not valid JSON: [^\n]*$"):
             load_cases(path)
+
+    def test_reads_the_table_from_a_zip(self, tmp_path):
+        # the package imported from a zip on sys.path reads its table through
+        # zipimport's loader, and verify all passes from there
+        package = Path(case_mod.__file__).resolve().parent
+        archive = tmp_path / "genusgaps.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for file in sorted(package.rglob("*")):
+                if file.is_file() and "__pycache__" not in file.parts:
+                    zf.write(file, Path("genusgaps", file.relative_to(package)))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import genusgaps;"
+                " from genusgaps import cli; from genusgaps.cases import load_cases;"
+                " assert genusgaps.__file__.startswith(sys.argv[1]), genusgaps.__file__;"
+                " assert len(load_cases()) == 24; sys.exit(cli.main(['verify', 'all']))")
+        proc = subprocess.run([sys.executable, "-I", "-c", code, str(archive)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert proc.stdout.endswith("all 296 checks passed\n")
 
     def test_reads_utf8_not_the_locale_encoding(self, tmp_path):
         # neither branch of load_cases may read with the locale's encoding

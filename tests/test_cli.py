@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import random
@@ -17,9 +18,9 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_cases import shipped
+from test_cases import draw_mutated_table, shipped
 from test_cli_golden import GOLDEN
 from test_values import rebuild
 
@@ -375,6 +376,51 @@ class TestVerify:
             load(path)
         monkeypatch.setattr(case_mod, "load_cases", lambda: load(path))
         assert run(capsys, "verify", "all") == (2, "", f"error: {exc.value}\n")
+
+    # the real reader on a path it cannot read as a file
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_path_is_a_usage_error(self, capsys, monkeypatch, tmp_path, name):
+        path = tmp_path / name
+        load = case_mod.load_cases
+        with pytest.raises(OSError) as exc:
+            load(path)
+        monkeypatch.setattr(case_mod, "load_cases", lambda: load(path))
+        rc, out, err = run(capsys, "verify", "all")
+        assert (rc, out, err) == (2, "", f"error: {exc.value}\n")
+        assert err.count("\n") == 1 and err[:-1].isprintable()
+
+    # control characters, one of which the fuzz below may append to a record id
+    _CONTROL_IDS = st.sampled_from(["\n", "\r", "\x1b", "\r\n", "\x85", "\u2028", "\x00",
+                                    "\x7f"])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_mutated_table_keeps_the_output_contract(self, tmp_path, data):
+        # the tables of test_cases' mutation fuzz, some with a control
+        # character in a record id: every verify scope and format exits 0, 1
+        # or 2; a usage error writes nothing on stdout and one printable
+        # error line, any other run nothing on stderr; a rerun writes the
+        # same stdout
+        doc = draw_mutated_table(data)
+        if data.draw(st.booleans(), label="control character in an id"):
+            raw = data.draw(st.sampled_from(doc["cases"]), label="record")
+            raw["id"] = f"{raw.get('id')}{data.draw(self._CONTROL_IDS)}x"
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(doc))
+        load = case_mod.load_cases
+        with mock.patch.object(case_mod, "load_cases", lambda: load(path)):
+            for scope, fmt in itertools.product(("cases", "kappa", "all"), cli.FORMATS):
+                argv = ["verify", scope, "--format", fmt]
+                code, out, err = _captured(cli.main, argv)
+                assert code in (0, 1, 2), (argv, code)
+                if code == 2:
+                    assert out == "" and err.startswith("error: "), (argv, err)
+                    assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+                    assert err[:-1].isprintable(), (argv, err)
+                else:
+                    assert err == "", (argv, err)
+                assert _captured(cli.main, argv) == (code, out, err), argv
 
     # a control character in a record id must not split or recolour the error line
     @pytest.mark.parametrize("ch", ["\n", "\r", "\x1b", "\r\n", "\x85", "\u2028"])
@@ -852,8 +898,8 @@ class TestPlainRoute:
         assert code in (0, 1, 2) and "Traceback" not in err
 
 
-def _added_by_plain_status(*flags: str) -> set[str]:
-    """Modules that a plain ``status 6 13`` loads beyond a bare interpreter run with ``flags``."""
+def _added_by_query(argv: list[str], *flags: str) -> set[str]:
+    """Modules that ``cli.main(argv)`` loads beyond a bare interpreter run with ``flags``."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     show = "import sys; print(*sys.modules, sep='\\n', file=sys.stderr)"
 
@@ -863,13 +909,13 @@ def _added_by_plain_status(*flags: str) -> set[str]:
         return set(proc.stderr.split())
 
     query = f"import sys; sys.path.insert(0, {src!r}); from genusgaps import cli; "
-    query += "cli.main(['status', '6', '13']); "
+    query += f"cli.main({argv!r}); "
     return loaded(query + show) - loaded(show)
 
 
 def test_plain_argv_imports_no_argparse():
     """A plain query loads neither argparse nor gettext beyond what a bare interpreter loads."""
-    added = _added_by_plain_status("-I")
+    added = _added_by_query(["status", "6", "13"], "-I")
     assert "genusgaps.cli" in added and not {"argparse", "gettext"} & added, added
 
 
@@ -877,7 +923,15 @@ def test_plain_status_imports_only_what_it_needs():
     """Nor typing, json, re, enum, pathlib or importlib.resources, seen without ``site``.
 
     ``-S`` keeps the site's ``.pth`` files from loading them before the query.
+    ``verify all`` needs ``json`` for the case table, which it reads through
+    the package's loader, so it loads neither ``importlib.resources`` nor
+    ``pathlib`` nor what they import.
     """
-    added = _added_by_plain_status("-I", "-S")
-    unneeded = {"typing", "json", "re", "enum", "pathlib", "importlib.resources"}
-    assert "genusgaps.cli" in added and not unneeded & added, added
+    unneeded = {
+        ("status", "6", "13"): {"typing", "json", "re", "enum", "pathlib", "importlib.resources"},
+        ("verify", "all"): {"importlib.resources", "pathlib", "tempfile", "shutil", "typing",
+                            "zipfile"},
+    }
+    for argv, names in unneeded.items():
+        added = _added_by_query(list(argv), "-I", "-S")
+        assert "genusgaps.cli" in added and not names & added, (argv, added)

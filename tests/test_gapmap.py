@@ -516,6 +516,62 @@ class TestWindowFacts:
             assert joins == sorted(joins) and joins[-1], d
 
 
+class TestAlternation:
+    """The windows below the horizon and their complement alternate, for every d >= 5.
+
+    ``cli`` writes a decomposition's CSV rows in genus order with no sort,
+    as this holds.  The windows below the horizon b(n*-1) - 1 are those at
+    n = 1..k with k = n*-2 (see ``_window_union_within``), and n* >= 2, as
+    the windows at 0 and 1 never join (``TestWindowFacts``).  Their
+    complement within [0, horizon] has exactly k + 1 parts, the first
+    starting at 0 and the last ending at the horizon, with the n-th window
+    between parts n - 1 and n, since each gap around a window is nonempty:
+
+    * below the first window, [0, b(1) - 1], as b(1) - 1 = (d-5)(d+2)/2 + 2;
+    * between the windows at n - 1 and n for 2 <= n <= k: n < n*, and the
+      joins in [1, d] are an upper ray from n* (fact (b)), so the two do
+      not join: p_a(d, n-1) + 1 < b(n);
+    * above the last window, [p_a(d, k) + 1, b(n*-1) - 1], as the windows
+      at k = n*-2 and n*-1 do not join either (at d = 5, k = 0 and this is
+      the part below the first window, [0, horizon] itself).
+    """
+
+    def test_first_window_starts_above_zero(self):
+        # b(1) = 1 + d(d-3)/2 - 3 for d > 1; degree 2 in d, so three degrees
+        # prove it, and (d-5)(d+2) is even as its factors differ by 7
+        for d in (5, 6, 7, 10**6):
+            assert bottom(d, 1) - 1 == (d - 5) * (d + 2) // 2 + 2
+        for d in (0, 1):
+            assert (d - 5) * (d + 2) % 2 == 0
+
+    @staticmethod
+    def _check_alternation(d: int) -> None:
+        horizon = refined_horizon(d)
+        union = _window_union_within(d, horizon)
+        windows, gaps = union.bounds, union.complement_within(Interval(0, horizon)).bounds
+        k = len(windows) // 2
+        # the code's k is n* - 2: no join up to k + 1, a join at k + 2
+        assert not any(contiguity_holds(d, n) for n in range(1, k + 2)), d
+        assert contiguity_holds(d, k + 2), d
+        assert len(gaps) == len(windows) + 2, d
+        tiles = [0] * (len(gaps) + len(windows))
+        tiles[0::4], tiles[1::4] = gaps[0::2], gaps[1::2]
+        tiles[2::4], tiles[3::4] = windows[0::2], windows[1::2]
+        # the parts, complement first, tile [0, horizon] in genus order
+        assert tiles[0] == 0 and tiles[-1] == horizon, d
+        assert all(lo <= hi for lo, hi in zip(tiles[0::2], tiles[1::2])), d
+        assert all(hi + 1 == lo for hi, lo in zip(tiles[1:-1:2], tiles[2::2])), d
+
+    @pytest.mark.parametrize("d", [*range(5, 81), 999, 5 * 10**4, 10**6])
+    def test_parts_alternate(self, d):
+        self._check_alternation(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 10**6))
+    def test_parts_alternate_drawn(self, d):
+        self._check_alternation(d)
+
+
 class TestInversionFacts:
     """The facts ``_first_n_reaching``'s closed form rests on, proved for every d and g.
 
