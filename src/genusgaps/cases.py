@@ -17,6 +17,12 @@ against every classified surface family by an exact dimension count:
 * ``direct-dim`` mode: family_dim < threshold, for the one family whose
   kappa is too negative for the generic count.
 
+-kappa does not depend on g, and depends on d only through the room the
+constraints leave (``_room``), so each ``verify_*`` sweeps once per
+(record, room) and reads every -kappa of its checks from that one memo.
+Each check is built once, as a ``CheckResult`` with id
+``eliminate/{id}/d{d}-n{n}-g{g}``.
+
 Each family is a :class:`CaseRecord`: a lattice name, a curve-class
 template ``d*H - sum(param_i * class_i)`` with non-negative integer
 parameters, linear sweep constraints ``gamma . pencil >= min_value``, a
@@ -31,7 +37,7 @@ JSON schema (one object)::
 
     schema_version: str            # "genusgaps-cases/1"
     cases: [ {
-        id: str                    # unique case label
+        id: str                    # unique case label, printable (str.isprintable)
         n: int                     # cutting degree the family lives in (3 or 4)
         lattice: str               # built-in lattice name
         gamma: { base: str,        # class scaled by the triple's d (always "H")
@@ -177,6 +183,9 @@ class CaseRecord(Value):
         def fail(why: str) -> NoReturn:
             raise CaseDataError(f"{self.id}: {why}")
 
+        if not self.id.isprintable():
+            # an id is written raw in every check id of a report
+            raise CaseDataError(f"case id {self.id!r} is not printable")
         if self.family_dim < 0:
             fail("family_dim must be >= 0")
         if self.n not in (3, 4):
@@ -215,70 +224,6 @@ class CaseRecord(Value):
 (_set_id, _set_n, _set_lattice, _set_base, _set_params, _set_constraints, _set_family_dim,
  _set_mode, _set_threshold, _set_hilbert_component_dims, _set_expected_neg_kappa,
  _set_description, _set_delegated, _set_forms) = setters(CaseRecord)
-
-
-class EliminationCheck(Value):
-    __slots__ = __match_args__ = (
-        "case_id", "d", "n", "g", "mode", "family_dim", "max_neg_kappa", "v_bound", "lhs",
-        "rhs", "ok", "delegated",
-    )
-
-    case_id: str
-    d: int
-    n: int
-    g: int
-    mode: str
-    family_dim: int
-    max_neg_kappa: int
-    v_bound: int
-    lhs: int
-    rhs: int
-    ok: bool
-    delegated: bool
-
-    def __init__(
-        self,
-        case_id: str,
-        d: int,
-        n: int,
-        g: int,
-        mode: str,
-        family_dim: int,
-        max_neg_kappa: int,
-        v_bound: int,
-        lhs: int,
-        rhs: int,
-        ok: bool,
-        delegated: bool,
-    ) -> None:
-        _set_check_case_id(self, case_id)
-        _set_check_d(self, d)
-        _set_check_n(self, n)
-        _set_check_g(self, g)
-        _set_check_mode(self, mode)
-        _set_check_family_dim(self, family_dim)
-        _set_check_max_neg_kappa(self, max_neg_kappa)
-        _set_check_v_bound(self, v_bound)
-        _set_check_lhs(self, lhs)
-        _set_check_rhs(self, rhs)
-        _set_check_ok(self, ok)
-        _set_check_delegated(self, delegated)
-
-    def detail(self) -> str:
-        if self.mode == "direct-dim":
-            body = f"family_dim {self.lhs} < {self.rhs}"
-        else:
-            body = (
-                f"family_dim {self.family_dim} + v {self.v_bound} = {self.lhs}"
-                f" < {self.rhs}"
-            )
-        tag = " (delegated)" if self.delegated else ""
-        return f"{body} | -kappa <= {self.max_neg_kappa}{tag}"
-
-
-(_set_check_case_id, _set_check_d, _set_check_n, _set_check_g, _set_check_mode,
- _set_check_family_dim, _set_check_max_neg_kappa, _set_check_v_bound, _set_check_lhs,
- _set_check_rhs, _set_check_ok, _set_check_delegated) = setters(EliminationCheck)
 
 
 class CheckResult(Value):
@@ -449,9 +394,6 @@ def restricted_triples() -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-_RESTRICTED = frozenset(restricted_triples())  # built once, for check_elimination
-
-
 def _linear_forms(
     record: CaseRecord, lat: PicardLattice
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -564,75 +506,42 @@ def _swept(record: CaseRecord, d: int, swept: dict[tuple[str, tuple[int, ...]], 
     return swept[key] - d * k_base
 
 
-def check_elimination(
-    record: CaseRecord, d: int, genera: tuple[int, ...]
-) -> tuple[EliminationCheck, ...]:
-    """Exact dimension-count checks that no genus in ``genera`` occurs in this family.
-
-    Each ``(d, record.n, g)`` must be a restricted triple, else ``ValueError``.
-    -kappa does not depend on g, so one sweep serves every genus; the checks
-    come back one per genus, in the order given.
-    """
-    n = record.n
-    for g in genera:
-        if (d, n, g) not in _RESTRICTED:
-            raise ValueError(f"({d}, {n}, {g}) is not a restricted triple")
-    return _elimination_checks(record, d, genera, max_neg_canonical_degree(record, d))
-
-
-def _elimination_checks(
-    record: CaseRecord, d: int, genera: tuple[int, ...], neg_kappa: int
-) -> tuple[EliminationCheck, ...]:
-    """The checks of ``check_elimination``, given the -kappa of (record, d)."""
-    case_id, n, mode, family_dim, delegated = (
-        record.id, record.n, record.mode, record.family_dim, record.delegated)
-    direct = mode == "direct-dim"
-    rhs = record.threshold if direct else cut_system_dim(n, d)
-    checks = []
-    for g in genera:
-        v_bound = family_dim_bound(g, -neg_kappa)
-        lhs = family_dim if direct else family_dim + v_bound
-        checks.append(EliminationCheck(case_id, d, n, g, mode, family_dim, neg_kappa, v_bound,
-                                       lhs, rhs, lhs < rhs, delegated))
-    return tuple(checks)
-
-
 def _eliminations(
     records: tuple[CaseRecord, ...], swept: dict[tuple[str, tuple[int, ...]], int]
-) -> list[EliminationCheck]:
-    """Every family against every restricted triple, in report order.
+) -> list[CheckResult]:
+    """Every family's dimension count against every restricted triple, in report order.
 
-    ``swept`` is the calling ``verify_*``'s memo of ``_swept``.  A (record, d)
-    run whose room is not in it goes through ``check_elimination``, and its
-    sweep enters the memo; any other run takes -kappa from the memo.
+    ``swept`` is the calling ``verify_*``'s memo of ``_swept``.  -kappa and
+    the bound it is counted against do not depend on g, so each (record, d)
+    run reads them once and serves all its genera.
     """
     triples = restricted_triples()
     checks = []
     for record in _by_id(records):
-        k_base = record.forms[0]
+        case_id, n, family_dim = record.id, record.n, record.family_dim
+        direct = record.mode == "direct-dim"
+        tag = " (delegated)" if record.delegated else ""
         # triples are sorted by d, so each degree's genera come in one run
-        ours = (t for t in triples if t[1] == record.n)
+        ours = (t for t in triples if t[1] == n)
         for d, run in itertools.groupby(ours, key=lambda t: t[0]):
-            genera = tuple(g for _, _, g in run)
-            key = record.id, _room(record, d)
-            if key in swept:
-                checks.extend(_elimination_checks(record, d, genera, swept[key] - d * k_base))
-            else:
-                found = check_elimination(record, d, genera)
-                swept[key] = found[0].max_neg_kappa + d * k_base
-                checks.extend(found)
+            neg_kappa = _swept(record, d, swept)
+            rhs = record.threshold if direct else cut_system_dim(n, d)
+            for _, _, g in run:
+                if direct:
+                    lhs, body = family_dim, f"family_dim {family_dim}"
+                else:
+                    v_bound = family_dim_bound(g, -neg_kappa)
+                    lhs = family_dim + v_bound
+                    body = f"family_dim {family_dim} + v {v_bound} = {lhs}"
+                checks.append(CheckResult(f"eliminate/{case_id}/d{d}-n{n}-g{g}", lhs < rhs,
+                                          f"{body} < {rhs} | -kappa <= {neg_kappa}{tag}"))
     return checks
-
-
-def _elimination_result(res: EliminationCheck) -> CheckResult:
-    check_id = f"eliminate/{res.case_id}/d{res.d}-n{res.n}-g{res.g}"
-    return CheckResult(check_id, res.ok, res.detail())
 
 
 def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
     """Run every applicable family against every restricted triple."""
     records = load_cases() if cases is None else cases
-    return VerificationReport(checks=tuple(map(_elimination_result, _eliminations(records, {}))))
+    return VerificationReport(checks=tuple(_eliminations(records, {})))
 
 
 def _kappa_checks(
@@ -688,8 +597,7 @@ def verify_all(cases: tuple[CaseRecord, ...] | None = None) -> VerificationRepor
     """
     records = load_cases() if cases is None else cases
     swept: dict[tuple[str, tuple[int, ...]], int] = {}
-    eliminations = _eliminations(records, swept)
     return VerificationReport(
-        checks=tuple(map(_elimination_result, eliminations))
-        + tuple(_kappa_checks(records, swept) + _lattice_checks())
+        checks=tuple(_eliminations(records, swept) + _kappa_checks(records, swept)
+                     + _lattice_checks())
     )

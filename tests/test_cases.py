@@ -28,7 +28,6 @@ from genusgaps.cases import (
     SweepConstraint,
     SweepParam,
     _linear_forms,
-    check_elimination,
     expected_neg_kappa,
     load_cases,
     max_neg_canonical_degree,
@@ -217,6 +216,12 @@ def load_outcome(path) -> tuple[CaseRecord, ...] | str:
         return f"CaseDataError: {exc}"
 
 
+def check_triple(check: CheckResult) -> tuple[int, int, int]:
+    """The (d, n, g) read off an ``eliminate/{id}/d{d}-n{n}-g{g}`` check id."""
+    d, n, g = check.check_id.rsplit("/", 1)[1].split("-")
+    return int(d[1:]), int(n[1:]), int(g[1:])
+
+
 def allowed_cutting_degrees(d: int, g: int) -> set[int]:
     """Cutting degrees n >= 3 not excluded by the genus lower bound.
 
@@ -250,19 +255,12 @@ class TestRestrictedTriples:
         assert restricted_triples() == tuple(sorted(built))
 
     def test_guard_matches_the_enumeration(self):
+        # the enumeration is the elimination's only guard: a record of each
+        # cutting degree is checked at exactly the restricted triples of its n
         triples = set(restricted_triples())
-        assert case_mod._RESTRICTED == triples
-        # check_elimination's guard, for each cutting degree a record has
-        records = {3: by_id("cubic-i"), 4: by_id("quartic-K3")}
-        for d in range(4, 13):
-            for n, record in records.items():
-                for g in range(-2, 81):
-                    try:
-                        check_elimination(record, d, (g,))
-                    except ValueError:
-                        assert (d, n, g) not in triples, (d, n, g)
-                    else:
-                        assert (d, n, g) in triples, (d, n, g)
+        for record in (by_id("cubic-i"), by_id("quartic-K3")):
+            checked = set(map(check_triple, verify_elimination((record,)).checks))
+            assert checked == {t for t in triples if t[1] == record.n}, record.id
 
     def test_documented_members(self):
         triples = restricted_triples()
@@ -797,10 +795,10 @@ class TestMaxNegKappa:
             assert meet == intersect(lat, gamma, lat.cls(c.cls))
 
 
-def outcome(sweep, record: CaseRecord, d: int):
-    """The value of one sweep, or the message of the ``CaseDataError`` it raises."""
+def outcome(fn, *args):
+    """``fn(*args)``, such as one sweep, or the message of the ``CaseDataError`` it raises."""
     try:
-        return sweep(record, d)
+        return fn(*args)
     except CaseDataError as exc:
         return f"CaseDataError: {exc}"
 
@@ -868,38 +866,113 @@ class TestSweepAgainstClassSweep:
         )
 
 
+# The elimination computed check by check, kept as the differential oracle
+# of the one path through the sweep memo: every (record, d, g) gets its own
+# sweep, with no memo, and the detail format of the deleted EliminationCheck.
+
+
+def oracle_elimination(record: CaseRecord, d: int, g: int) -> CheckResult:
+    n, family_dim = record.n, record.family_dim
+    neg_kappa = max_neg_canonical_degree(record, d)
+    v_bound = family_dim_bound(g, -neg_kappa)
+    if record.mode == "direct-dim":
+        lhs, rhs = family_dim, record.threshold
+        body = f"family_dim {lhs} < {rhs}"
+    else:
+        lhs, rhs = family_dim + v_bound, cut_system_dim(n, d)
+        body = f"family_dim {family_dim} + v {v_bound} = {lhs} < {rhs}"
+    tag = " (delegated)" if record.delegated else ""
+    return CheckResult(f"eliminate/{record.id}/d{d}-n{n}-g{g}", lhs < rhs,
+                       f"{body} | -kappa <= {neg_kappa}{tag}")
+
+
+def oracle_eliminations(records: tuple[CaseRecord, ...]) -> tuple[CheckResult, ...]:
+    """Each record, by id, against each of the thirteen triples of its n, in order."""
+    return tuple(oracle_elimination(record, d, g)
+                 for record in sorted(records, key=lambda r: r.id)
+                 for d, n, g in THIRTEEN if n == record.n)
+
+
+class TestEliminationAgainstOracle:
+    @pytest.mark.parametrize("case_id, changes", [
+        pytest.param("quartic-rational-c", {}, id="direct-dim"),
+        pytest.param("cubic-ii.c-ddag", {}, id="delegated"),
+        pytest.param("cubic-i", {}, id="constraint-free"),
+        pytest.param("cubic-ii.a-ddag", {"mode": "direct-dim", "threshold": 13,
+                                          "delegated": True}, id="cubic-direct-delegated"),
+        pytest.param("quartic-dp2", {"n": 3}, id="constrained-cubic"),
+        pytest.param("quartic-K3", {"family_dim": 80}, id="failing"),
+    ])
+    def test_named_records(self, case_id, changes):
+        record = rebuild(by_id(case_id), **changes)
+        rooms = {case_mod._room(record, d) for d in (6, 7, 8)}
+        # a constraint-free family has one room, the empty one, at every d
+        assert (rooms == {()}) == (not record.constraints)
+        want = oracle_eliminations((record,))
+        assert verify_elimination((record,)).checks == want
+        assert verify_all((record,)).checks[:len(want)] == want
+        assert len(want) == (11 if record.n == 3 else 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_doctored_records(self, data):
+        # a few shipped records, each rebuilt with a drawn cutting degree,
+        # family bound, mode, delegation and constraint bounds: some rooms
+        # differ per d, some leave no admissible class, some counts fail
+        chosen = data.draw(st.lists(st.sampled_from(load_cases()), min_size=1, max_size=4,
+                                    unique_by=lambda r: r.id), label="records")
+        records = []
+        for record in chosen:
+            direct = data.draw(st.booleans(), label=f"{record.id} direct-dim")
+            constraints = tuple(
+                rebuild(c, min_value=data.draw(st.integers(0, max(8 * bp, 0) + 4), label=c.cls))
+                for c, bp in zip(record.constraints, record.forms[2])
+            )
+            records.append(rebuild(
+                record,
+                n=data.draw(st.sampled_from((3, 4)), label="n"),
+                family_dim=data.draw(st.integers(0, 60), label="family_dim"),
+                hilbert_component_dims=(),
+                mode="direct-dim" if direct else "dim-count",
+                threshold=data.draw(st.integers(0, 60), label="threshold") if direct else None,
+                delegated=data.draw(st.booleans(), label="delegated"),
+                constraints=constraints,
+            ))
+        records = tuple(records)
+        want = outcome(oracle_eliminations, records)
+        assert outcome(lambda r: verify_elimination(r).checks, records) == want
+        combined = outcome(lambda r: verify_all(r).checks, records)
+        if not isinstance(want, str) and not isinstance(combined, str):
+            assert combined[:len(want)] == want
+
+
 class TestCheckElimination:
     def test_documented_examples(self):
-        (res,) = check_elimination(by_id("cubic-i"), 6, (15,))
-        assert (res.n, res.family_dim, res.v_bound, res.lhs, res.rhs) == (3, 19, 32, 51, 63)
-        assert res.ok
-        (res,) = check_elimination(by_id("quartic-K3"), 6, (15,))
-        assert (res.n, res.lhs, res.rhs, res.ok) == (4, 34 + 15, 73, True)
-        (res,) = check_elimination(by_id("quartic-rational-c"), 6, (15,))
-        assert (res.mode, res.lhs, res.rhs, res.ok) == ("direct-dim", 17, 23, True)
+        details = {c.check_id: c.detail for c in verify_elimination().checks}
+        assert details["eliminate/cubic-i/d6-n3-g15"] == (
+            "family_dim 19 + v 32 = 51 < 63 | -kappa <= 18")
+        assert details["eliminate/quartic-K3/d6-n4-g15"] == (
+            "family_dim 34 + v 15 = 49 < 73 | -kappa <= 0")
+        assert details["eliminate/quartic-rational-c/d6-n4-g15"] == (
+            "family_dim 17 < 23 | -kappa <= 36")
+        assert details["eliminate/cubic-ii.c-dag/d7-n3-g26"].endswith(" (delegated)")
 
     def test_rejects_unrestricted_triple(self):
-        with pytest.raises(ValueError):
-            check_elimination(by_id("cubic-i"), 6, (10,))
-        with pytest.raises(ValueError):
-            check_elimination(by_id("quartic-K3"), 6, (13,))  # restricted for n = 3, not 4
-        with pytest.raises(ValueError):
-            check_elimination(by_id("cubic-i"), 9, (50,))
-        with pytest.raises(ValueError):
-            check_elimination(by_id("cubic-i"), 6, (15, 10))  # one bad genus spoils the call
+        # no family is checked at a triple the enumeration leaves out
+        checked = set(map(check_triple, verify_elimination().checks))
+        assert (6, 3, 10) not in checked
+        assert (6, 4, 13) not in checked  # restricted for n = 3, not 4
+        assert (6, 3, 13) in checked
+        assert (9, 3, 50) not in checked
 
     def test_guard_agrees_with_the_triple_table(self):
-        record = by_id("cubic-i")
-        for d in range(5, 10):
-            for g in range(0, 45):
-                for n in (3, 4):
-                    restricted = (d, n, g) in THIRTEEN
-                    try:
-                        check_elimination(record if n == 3 else by_id("quartic-K3"), d, (g,))
-                    except ValueError:
-                        assert not restricted, (d, n, g)
-                    else:
-                        assert restricted, (d, n, g)
+        for record in (by_id("cubic-i"), by_id("quartic-K3")):
+            checked = set(map(check_triple, verify_elimination((record,)).checks))
+            for d in range(5, 10):
+                for g in range(0, 45):
+                    for n in (3, 4):
+                        restricted = (d, n, g) in THIRTEEN and n == record.n
+                        assert ((d, n, g) in checked) == restricted, (record.id, d, n, g)
 
     def test_guard_matches_the_set_building_predicate(self):
         # the earlier guard, kept as the oracle: it builds the allowed set per genus
@@ -909,22 +982,19 @@ class TestCheckElimination:
             window = candidate_gap_interval(d, 1)
             return window is not None and g in window and n in allowed_cutting_degrees(d, g)
 
+        triples = set(restricted_triples())
         for d in case_mod.RESTRICTED_DEGREES:
             window = candidate_gap_interval(d, 1)
             for g in range(window.lo - 3, window.hi + 4):
                 for n in range(13):
-                    got = (d, n, g) in case_mod._RESTRICTED
+                    got = (d, n, g) in triples
                     assert got == set_building(d, n, g), (d, n, g)
 
     def test_multi_genus_call_matches_single_calls(self):
-        for record in load_cases():
-            for d in (6, 7, 8):
-                genera = tuple(g for dd, n, g in THIRTEEN if dd == d and n == record.n)
-                if not genera:
-                    continue
-                singles = tuple(c for g in genera for c in check_elimination(record, d, (g,)))
-                assert check_elimination(record, d, genera) == singles
-                assert check_elimination(record, d, genera[::-1]) == singles[::-1]
+        # one sweep per (record, room) serves every genus of a run: each check
+        # equals the one computed alone for its (record, d, g)
+        records = load_cases()
+        assert verify_elimination(records).checks == oracle_eliminations(records)
 
     def test_cubic_simplified_inequalities(self):
         # per-family reduced forms, equivalent to the dimension count
@@ -950,14 +1020,16 @@ class TestCheckElimination:
     def test_quartic_sufficiency_chain(self):
         # every quartic family except the projected one keeps -kappa within 25,
         # equivalently the family bound within 39, and the count closes at 34
+        by_check = {c.check_id: c for c in verify_elimination().checks}
         for record in load_cases():
             if record.n != 4 or record.id == "quartic-rational-c":
                 continue
             neg = max_neg_canonical_degree(record, 6)
             assert neg <= 25, record.id
             assert family_dim_bound(15, -neg) <= 39, record.id
-            for res in check_elimination(record, 6, (14, 15)):
-                assert res.family_dim == 34 and res.ok, record.id
+            for g in (14, 15):
+                res = by_check[f"eliminate/{record.id}/d6-n4-g{g}"]
+                assert res.ok and res.detail.startswith("family_dim 34 + v "), record.id
         # sharpness of the equivalence at genus 15
         assert family_dim_bound(15, -25) == 39
         assert family_dim_bound(15, -26) == 40
@@ -1005,8 +1077,7 @@ class TestVerify:
         assert len(swept) == len(set(swept)) == 8 + 16
 
     def test_verify_all_work_counts(self, monkeypatch):
-        counts = {"max_neg_canonical_degree": 0, "check_elimination": 0, "intersect": 0,
-                  "adjunction_genus": 0}
+        counts = {"max_neg_canonical_degree": 0, "intersect": 0, "adjunction_genus": 0}
 
         def counted(name):
             real = getattr(case_mod, name)
@@ -1023,9 +1094,8 @@ class TestVerify:
         # one sweep per (family, room): the 8 cubic families have no
         # constraint, so one room at all 16 audit degrees, and the 16 quartic
         # families are audited at d = 6 only.  The elimination makes all 24,
-        # each through check_elimination, and the audit finds them swept
+        # and the audit finds them swept
         assert counts["max_neg_canonical_degree"] == 8 + 16
-        assert counts["check_elimination"] == 8 + 16
         # intersect only audits the lattices' K.K: the 24 records read their
         # forms from the Gram rows the lattices keep, and the 144 sweeps read
         # the forms kept on the records; the 11 lattices with a surface degree
@@ -1220,7 +1290,7 @@ class TestSharedSweeps:
             for r in load_cases()
         )
         # the pair (cubic, 7) is swept by the elimination and reused by the audit
-        assert any(c.d == 7 for c in case_mod._eliminations((cubic,), {}))
+        assert any(check_triple(c)[0] == 7 for c in case_mod._eliminations((cubic,), {}))
         combined = verify_all(doctored)
         assert combined.checks == (
             verify_elimination(doctored).checks + verify_kappa(doctored).checks

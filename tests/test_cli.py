@@ -420,7 +420,26 @@ class TestVerify:
                     assert err[:-1].isprintable(), (argv, err)
                 else:
                     assert err == "", (argv, err)
+                    if fmt != "json":  # a header or summary line, then one per check
+                        checks = getattr(case_mod, cli._VERIFY_SCOPES[scope])().checks
+                        assert out.endswith("\n"), argv
+                        assert len(out.splitlines()) == len(checks) + 1, argv
                 assert _captured(cli.main, argv) == (code, out, err), argv
+
+    def test_unprintable_id_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        # a record id is written raw into each of its check ids, so a newline
+        # in one would split the report's rows: the record refuses it
+        doc = copy.deepcopy(shipped())
+        doc["cases"][0]["id"] = "cubic\nx"
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        load = case_mod.load_cases
+        with pytest.raises(case_mod.CaseDataError, match="not printable"):
+            load(path)
+        monkeypatch.setattr(case_mod, "load_cases", lambda: load(path))
+        rc, out, err = run(capsys, "verify", "cases", "--format", "csv")
+        assert (rc, out) == (2, "")
+        assert err == "error: case id 'cubic\\nx' is not printable\n"
 
     # a control character in a record id must not split or recolour the error line
     @pytest.mark.parametrize("ch", ["\n", "\r", "\x1b", "\r\n", "\x85", "\u2028"])

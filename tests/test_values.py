@@ -159,6 +159,8 @@ class CaseRecord:
         def fail(why: str) -> NoReturn:
             raise CaseDataError(f"{self.id}: {why}")
 
+        if not self.id.isprintable():
+            raise CaseDataError(f"case id {self.id!r} is not printable")
         if self.family_dim < 0:
             fail("family_dim must be >= 0")
         if self.n not in (3, 4):
@@ -192,33 +194,6 @@ class CaseRecord:
 
 
 @dataclass(frozen=True)
-class EliminationCheck:
-    case_id: str
-    d: int
-    n: int
-    g: int
-    mode: str
-    family_dim: int
-    max_neg_kappa: int
-    v_bound: int
-    lhs: int
-    rhs: int
-    ok: bool
-    delegated: bool
-
-    def detail(self) -> str:
-        if self.mode == "direct-dim":
-            body = f"family_dim {self.lhs} < {self.rhs}"
-        else:
-            body = (
-                f"family_dim {self.family_dim} + v {self.v_bound} = {self.lhs}"
-                f" < {self.rhs}"
-            )
-        tag = " (delegated)" if self.delegated else ""
-        return f"{body} | -kappa <= {self.max_neg_kappa}{tag}"
-
-
-@dataclass(frozen=True)
 class CheckResult:
     check_id: str
     ok: bool
@@ -240,7 +215,7 @@ PAIRS = {
     for cls in (
         gapmap.Certificate, gapmap.GapStatus, gapmap.GapDecomposition, cli.Record,
         picard.DivisorClass, picard.PicardLattice, cases.SweepParam, cases.SweepConstraint,
-        cases.CaseRecord, cases.EliminationCheck, cases.CheckResult, cases.VerificationReport,
+        cases.CaseRecord, cases.CheckResult, cases.VerificationReport,
     )
 }
 IDS = [cls.__name__ for cls in PAIRS]
@@ -301,7 +276,7 @@ def samples() -> dict[type, list]:
         *BUILTINS,
         *(lat.canonical for lat in BUILTINS),
         *(c for lat in BUILTINS for c in lat.named.values()),
-        report, *report.checks, cases.verify_kappa(), *cases._eliminations(records, {}),
+        report, *report.checks, cases.verify_kappa(),
         *statuses, *filter(None, certificates),
         *map(gapmap.decompose, (4, 5, 6, 7, 20, 100)),
         *_records(),
@@ -316,7 +291,7 @@ def test_every_type_is_sampled():
     counts = {cls.__name__: len(found) for cls, found in samples().items()}
     assert all(counts.values()), counts
     assert counts["CaseRecord"] == 24 and counts["PicardLattice"] == len(BUILTINS) == 21
-    assert counts["CheckResult"] == 296 and counts["EliminationCheck"] == 120
+    assert counts["CheckResult"] == 296
 
 
 @pytest.mark.parametrize("cls", PAIRS, ids=IDS)
@@ -408,11 +383,6 @@ def test_each_lattice_gets_a_fresh_named_dict():
     assert copy.deepcopy(k3).named is not k3.named
 
 
-def test_elimination_details_match():
-    for check in samples()[cases.EliminationCheck]:
-        assert check.detail() == to_oracle(check).detail()
-
-
 def test_report_ok_matches():
     for report in samples()[cases.VerificationReport]:
         assert report.ok == to_oracle(report).ok
@@ -422,8 +392,8 @@ def test_report_ok_matches():
     assert not VerificationReport(tuple(map(to_oracle, failing))).ok
 
 
-BAD_VALUES = (None, True, 0, -1, 1.5, "", "H", "no-such", (), (0,), (1, 2, 3), [], {},
-              (("P", 0),), ({"label": "m"},))
+BAD_VALUES = (None, True, 0, -1, 1.5, "", "H", "no-such", "cubic\nx", (), (0,), (1, 2, 3), [],
+              {}, (("P", 0),), ({"label": "m"},))
 
 
 @settings(max_examples=500, deadline=None)
