@@ -402,21 +402,22 @@ def _linear_forms(
     Read once per record, by the ``CaseRecord`` constructor, which keeps
     them as ``forms``.  Every label resolves through ``lat.cls``, base
     first, then the parameters and the pencils, so an unknown one raises
-    its ``KeyError``; each product is then one dot product of the left
-    factor's Gram row, kept on the lattice, with the right factor's
-    coefficients.
+    its ``KeyError``.  Every product has K or a pencil on one side, so each
+    is one dot product of that side's Gram row with the other side's
+    coefficients: K's row is kept on the lattice, and each pencil's row is
+    built here, once per record.
     """
     base = lat.cls(record.base).coeffs
     subs = [lat.cls(p.cls).coeffs for p in record.params]
     pencils = [lat.cls(c.cls).coeffs for c in record.constraints]
-    k, rows = lat.canonical_row, lat.rows
-    base_row = rows[record.base]
+    # the Gram matrix is symmetric, so entry i of a pencil's row is gram[i] . pencil
+    rows = [[sum(map(mul, g, pencil)) for g in lat.gram] for pencil in pencils]
+    k = lat.canonical_row
     return (
         sum(map(mul, k, base)),
         tuple([sum(map(mul, k, sub)) for sub in subs]),
-        tuple([sum(map(mul, base_row, pencil)) for pencil in pencils]),
-        tuple([tuple([sum(map(mul, rows[p.cls], pencil)) for pencil in pencils])
-               for p in record.params]),
+        tuple([sum(map(mul, row, base)) for row in rows]),
+        tuple([tuple([sum(map(mul, row, sub)) for row in rows]) for sub in subs]),
     )
 
 

@@ -27,9 +27,10 @@ that ``_plain_args`` reads, argparse gives an equal one.  Nothing in this
 module outlives a call.
 
 JSON is written by the module's own emitter, ``_json``, whose output is
-byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)``:
-with ``indent`` set, ``json.dumps`` runs its pure-Python encoder, which
-cost more than building the record for a large decomposition.  Two shapes
+byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)``.  On
+Python 3.10 to 3.12, ``json.dumps`` with ``indent`` set runs its
+pure-Python encoder, which cost more than building the record for a large
+decomposition; from 3.13 on it runs the C encoder there too.  Two shapes
 are written through one %-template for all their items: an
 ``IntervalSet`` (the parts of a decomposition), as the list of its
 ``[lo, hi]`` pairs, and a list of dicts that share one non-empty key set
@@ -50,10 +51,10 @@ except ImportError:  # an interpreter without json's C accelerator
 
 from . import cases as case_mod
 from ._value import Value, setters
+from .formulas import _check_d
 from .gapmap import (
     Certificate,
     GapDecomposition,
-    _check_d,
     certify_nongap,
     coarse_horizon,
     decompose,

@@ -17,9 +17,9 @@ from __future__ import annotations
 from math import comb
 
 
-def _check_degree(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"surface degree must be >= 1, got {d}")
+def _check_d(d: int, minimum: int) -> None:
+    if d < minimum:
+        raise ValueError(f"surface degree must be >= {minimum}, got {d}")
 
 
 def _check_cut(n: int) -> None:
@@ -36,7 +36,7 @@ def ambient_dim(d: int) -> int:
 
 def linsys_dim(d: int, n: int) -> int:
     """Dimension of the linear system cut on a degree-d surface by degree-n surfaces."""
-    _check_degree(d)
+    _check_d(d, 1)
     _check_cut(n)
     if n < d:
         return ambient_dim(n)
@@ -45,7 +45,7 @@ def linsys_dim(d: int, n: int) -> int:
 
 def arithmetic_genus(d: int, n: int) -> int:
     """Arithmetic genus of a complete intersection of degrees (d, n)."""
-    _check_degree(d)
+    _check_d(d, 1)
     _check_cut(n)
     # d*n*(d+n-4) is even for every d and n, proved in tests/test_formulas.py
     return d * n * (d + n - 4) // 2 + 1
@@ -82,7 +82,7 @@ def contiguity_holds(d: int, n: int) -> bool:
     True iff the degree-n window reaches down to the top of the degree-(n-1)
     window, i.e. their union is a single integer interval.
     """
-    _check_degree(d)
+    _check_d(d, 1)
     if n < 1:
         raise ValueError(f"cutting degree must be >= 1, got {n}")
     return linsys_dim(d, n) >= arithmetic_genus(d, n) - arithmetic_genus(d, n - 1) - 1

@@ -27,7 +27,7 @@ from math import isqrt
 from operator import sub
 
 from ._value import Value, setters
-from .formulas import arithmetic_genus, contiguity_holds, linsys_dim
+from .formulas import _check_d, arithmetic_genus, contiguity_holds, linsys_dim
 from .intervals import Interval, IntervalSet
 
 PROVED_GAP = "ProvedGap"
@@ -112,11 +112,6 @@ class GapDecomposition(Value):
 
 (_set_d, _set_horizon, _set_proved_gaps, _set_unknown_candidates, _set_nongap_certified,
  _set_proved_sources) = setters(GapDecomposition)
-
-
-def _check_d(d: int, minimum: int) -> None:
-    if d < minimum:
-        raise ValueError(f"surface degree must be >= {minimum}, got {d}")
 
 
 def realizable_interval(d: int, n: int) -> Interval:

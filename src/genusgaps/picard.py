@@ -67,18 +67,15 @@ class PicardLattice(Value):
 
     Unhashable, as ``named`` is a dict; each lattice gets a fresh one by
     default.  The constructor also keeps the Gram row of K
-    (``canonical_row``) and of each class label (``rows``): the row of a
-    class c holds its products c . e_j with the basis vectors, so c . b is
-    one dot product of that row with b's coefficients.  A basis label's
-    row is its Gram row as it stands, and a named class's row replaces the
-    basis row of the same label, as in ``cls``.  Neither takes part in
-    ``==``, ``hash`` or ``repr``.
+    (``canonical_row``), which holds K's products K . e_j with the basis
+    vectors, so K . b is one dot product of that row with b's
+    coefficients.  It takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     __match_args__ = (
         "name", "basis", "gram", "canonical", "named", "description", "k2", "degree",
     )
-    __slots__ = (*__match_args__, "rows", "canonical_row")
+    __slots__ = (*__match_args__, "canonical_row")
 
     name: str
     basis: tuple[str, ...]
@@ -88,7 +85,6 @@ class PicardLattice(Value):
     description: str
     k2: int | None  # documented K.K, audited against the Gram matrix
     degree: int | None  # surface degree in P^3, set where adjunction applies
-    rows: dict[str, tuple[int, ...]]
     canonical_row: tuple[int, ...]
 
     def __init__(
@@ -120,14 +116,9 @@ class PicardLattice(Value):
         for label, cls in {**self.named, "K": self.canonical}.items():
             if len(cls.coeffs) != r:
                 raise ValueError(f"{self.name}: class {label} has wrong rank")
-
-        def row(c: DivisorClass) -> tuple[int, ...]:
-            # the Gram matrix is symmetric, so entry j of c's row is gram[j] . c
-            return tuple([sum(map(mul, g, c.coeffs)) for g in self.gram])
-
-        _set_rows(self, {**dict(zip(self.basis, self.gram)),
-                         **{label: row(c) for label, c in self.named.items()}})
-        _set_canonical_row(self, row(self.canonical))
+        # the Gram matrix is symmetric, so entry j of K's row is gram[j] . K
+        k = self.canonical.coeffs
+        _set_canonical_row(self, tuple([sum(map(mul, g, k)) for g in self.gram]))
 
     @property
     def rank(self) -> int:
@@ -144,7 +135,7 @@ class PicardLattice(Value):
 
 
 (_set_name, _set_basis, _set_gram, _set_canonical, _set_named, _set_description, _set_k2,
- _set_degree, _set_rows, _set_canonical_row) = setters(PicardLattice)
+ _set_degree, _set_canonical_row) = setters(PicardLattice)
 
 
 def intersect(lat: PicardLattice, a: DivisorClass, b: DivisorClass) -> int:

@@ -12,6 +12,7 @@ import sys
 import zipfile
 from importlib import resources
 from itertools import product
+from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -300,6 +301,17 @@ class TestRecordForms:
             assert record.forms == want, record.id
             assert type(record.forms) is tuple and type(k_base) is int, record.id
             assert all(type(t) is tuple for t in (k_subs, base_pencils, *sub_pencils)), record.id
+
+    def test_named_class_shadows_the_basis_label(self, monkeypatch):
+        # the pencil A is a named class that shadows the basis label A with
+        # other coefficients: the forms read the named class, as cls does
+        shadow = PicardLattice("shadow", ("A", "B"), ((1, 0), (0, -1)), DivisorClass((-1, 1)),
+                               {"A": DivisorClass((1, 1))})
+        monkeypatch.setattr(case_mod, "builtin_lattice", lambda name: shadow)
+        record = CaseRecord("shadowed", 4, "shadow", "B", (SweepParam("a", "A"),),
+                            (SweepConstraint("A", 0),), 0, "dim-count")
+        assert record.forms == linear_forms_by_intersect(record, shadow)
+        assert record.forms == (-1, (-2,), (-1,), ((0,),))
 
     def test_replace_recomputes_forms(self):
         for record in load_cases():
@@ -803,6 +815,40 @@ def outcome(fn, *args):
         return f"CaseDataError: {exc}"
 
 
+def redraw(data: st.DataObject) -> tuple[CaseRecord, int]:
+    """A shipped record rebuilt with drawn parameters, caps and bounds, and a drawn d.
+
+    Draws that the ``CaseRecord`` constructor refuses are rejected.
+    """
+    record = data.draw(st.sampled_from(load_cases()), label="record")
+    d = data.draw(st.integers(2, 30), label="d")
+    params = record.params
+    if params:
+        # rotated, so that each parameter takes the closed-form slot, and
+        # sometimes led by a copy of one, so that two parameters before the
+        # last can overrun a room that each fits alone
+        shift = data.draw(st.integers(0, len(params) - 1), label="rotation")
+        copied = data.draw(st.lists(st.sampled_from(params), max_size=1), label="copied")
+        params = (*copied, *params[shift:], *params[:shift])
+    if data.draw(st.integers(0, 4), label="keep params") == 0:
+        params = ()
+    params = tuple(
+        rebuild(p, hi=data.draw(st.none() | st.integers(p.lo, p.lo + 12), label=p.label))
+        for p in params
+    )
+    # each min from 0 to 8 past d*(base . pencil): some rooms are negative,
+    # some leave no admissible class at all
+    constraints = tuple(
+        rebuild(c, min_value=data.draw(st.integers(0, max(d * bp, 0) + 8), label=c.cls))
+        for c, bp in zip(record.constraints, record.forms[2])
+    )
+    try:
+        record = rebuild(record, params=params, constraints=constraints)
+    except CaseDataError:
+        assume(False)
+    return record, d
+
+
 class TestSweepAgainstClassSweep:
     @pytest.mark.parametrize("case_id", sorted(NEG_KAPPA_TABLE))
     def test_audit_and_restricted_degrees(self, case_id):
@@ -835,35 +881,159 @@ class TestSweepAgainstClassSweep:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_redrawn_bounds(self, data):
-        record = data.draw(st.sampled_from(load_cases()), label="record")
-        d = data.draw(st.integers(2, 30), label="d")
-        params = record.params
-        if params:
-            # rotated, so that each parameter takes the closed-form slot, and
-            # sometimes led by a copy of one, so that two parameters before the
-            # last can overrun a room that each fits alone
-            shift = data.draw(st.integers(0, len(params) - 1), label="rotation")
-            copied = data.draw(st.lists(st.sampled_from(params), max_size=1), label="copied")
-            params = (*copied, *params[shift:], *params[:shift])
-        if data.draw(st.integers(0, 4), label="keep params") == 0:
-            params = ()
-        params = tuple(
-            rebuild(p, hi=data.draw(st.none() | st.integers(p.lo, p.lo + 12), label=p.label))
-            for p in params
-        )
-        # each min from 0 to 8 past d*(base . pencil): some rooms are negative,
-        # some leave no admissible class at all
-        constraints = tuple(
-            rebuild(c, min_value=data.draw(st.integers(0, max(d * bp, 0) + 8), label=c.cls))
-            for c, bp in zip(record.constraints, record.forms[2])
-        )
-        try:
-            record = rebuild(record, params=params, constraints=constraints)
-        except CaseDataError:
-            assume(False)
+        record, d = redraw(data)
         assert outcome(max_neg_canonical_degree, record, d) == outcome(
             class_sweep_max_neg_kappa, record, d
         )
+
+
+# The sign facts behind the sweep's box and closed form, each a function of
+# (record, d) that ``TestBoxFacts`` runs over shipped and drawn records.
+
+
+def rooms(record: CaseRecord, d: int) -> list[int]:
+    """room_j = d*(base . P_j) - min_j, read off ``record.forms``."""
+    return [d * bp - c.min_value for bp, c in zip(record.forms[2], record.constraints)]
+
+
+def admissible(record: CaseRecord, d: int, point: tuple[int, ...]) -> bool:
+    """Whether gamma . P_j >= min_j for all j at ``point``, a point of the parameters' domain.
+
+    gamma . P_j = d*(base . P_j) - sum_i v_i * (sub_i . P_j), so that
+    constraint reads sum_i v_i * (sub_i . P_j) <= room_j.
+    """
+    columns = zip(*record.forms[3])  # sub_i . P_j over i, one column per pencil
+    return all(sum(map(mul, point, col)) <= r
+               for col, r in zip(columns, rooms(record, d)))
+
+
+def neg_kappa_at(record: CaseRecord, d: int, point: tuple[int, ...]) -> int:
+    """-K . gamma = sum_i v_i * (K . sub_i) - d*(K . base)."""
+    k_base, k_subs, _, _ = record.forms
+    return sum(map(mul, point, k_subs)) - d * k_base
+
+
+def box_caps(record: CaseRecord, d: int) -> list[int | None]:
+    """Each parameter's cap: ``hi``, lowered to room_j // (sub . P_j) for every pencil
+    the parameter meets positively, or None where neither caps it."""
+    caps = []
+    for p, coefs in zip(record.params, record.forms[3]):
+        bounds = [r // c for r, c in zip(rooms(record, d), coefs) if c > 0]
+        if p.hi is not None:
+            bounds.append(p.hi)
+        caps.append(min(bounds, default=None))
+    return caps
+
+
+def enlarged_box(record: CaseRecord, d: int) -> list[range]:
+    """Each parameter's values from lo to 3 past its cap (past lo where nothing caps
+    it), and none past its ``hi``, beyond which no point is in the domain."""
+    box = []
+    for p, cap in zip(record.params, box_caps(record, d)):
+        top = max(p.lo if cap is None else cap, p.lo) + 3
+        box.append(range(p.lo, (top if p.hi is None else min(top, p.hi)) + 1))
+    return box
+
+
+def gamma_pencil_never_rises(record: CaseRecord, d: int) -> None:
+    # (a) gamma . P_j changes by -(sub_i . P_j) as v_i grows by one
+    for p, coefs in zip(record.params, record.forms[3]):
+        assert p.lo >= 0 and all(c >= 0 for c in coefs), (record.id, p.label)
+
+
+def caps_hold_every_admissible_point(record: CaseRecord, d: int) -> None:
+    # (b) v_i * c_ij <= room_j at an admissible point, as every other term is >= 0
+    caps = box_caps(record, d)
+    for point in product(*enlarged_box(record, d)):
+        if admissible(record, d, point):
+            assert all(cap is None or v <= cap for v, cap in zip(point, caps)), (
+                record.id, d, point)
+
+
+def uncapped_parameter_stays_at_lo(record: CaseRecord, d: int) -> None:
+    # (c) an uncapped parameter meets no pencil and has K . sub <= 0
+    _, k_subs, _, sub_pencils = record.forms
+    free = {i for i, cap in enumerate(box_caps(record, d)) if cap is None}
+    for i in free:
+        assert not any(sub_pencils[i]) and k_subs[i] <= 0, (record.id, i)
+    for point in product(*enlarged_box(record, d)):
+        if admissible(record, d, point):
+            pinned = tuple(record.params[i].lo if i in free else v for i, v in enumerate(point))
+            assert admissible(record, d, pinned), (record.id, d, point)
+            assert neg_kappa_at(record, d, pinned) >= neg_kappa_at(record, d, point)
+
+
+def last_parameter_is_an_interval(record: CaseRecord, d: int) -> None:
+    # (d) [lo, top] with top as the sweep takes it, and -kappa's maximum at an end
+    if not record.params:
+        return
+    *outer, last = enlarged_box(record, d)
+    cap, lo, k_last = box_caps(record, d)[-1], record.params[-1].lo, record.forms[1][-1]
+    if cap is None:
+        last = range(lo, lo + 1)  # by (c), the box pins it at lo
+    for point in product(*outer):
+        top = lo if cap is None else cap
+        for r, *col in zip(rooms(record, d), *record.forms[3]):
+            *outer_col, c = col
+            free = r - sum(map(mul, point, outer_col))
+            if c:
+                top = min(top, free // c)
+            elif free < 0:
+                top = lo - 1
+        values = [v for v in last if admissible(record, d, (*point, v))]
+        assert values == list(range(lo, top + 1)), (record.id, d, point)
+        if values:
+            best = max(neg_kappa_at(record, d, (*point, v)) for v in values)
+            at = top if k_last > 0 else lo
+            assert neg_kappa_at(record, d, (*point, at)) == best, (record.id, d, point)
+
+
+BOX_FACTS = (gamma_pencil_never_rises, caps_hold_every_admissible_point,
+             uncapped_parameter_stays_at_lo, last_parameter_is_an_interval)
+BOX_DEGREES = (2, 5, 6, 7, 8, 20, 30)
+
+
+class TestBoxFacts:
+    """The box and the closed form of ``max_neg_canonical_degree``, as sign facts.
+
+    With c_ij = sub_i . P_j, gamma = d*base - sum_i v_i * sub_i meets P_j in
+    d*(base . P_j) - sum_i v_i * c_ij, so gamma . P_j >= min_j reads
+    sum_i v_i * c_ij <= room_j, and -kappa = sum_i v_i * (K . sub_i) -
+    d*(K . base).  The sweep rests on four facts:
+
+    (a) every c_ij >= 0 and every lo >= 0, so gamma . P_j never rises as a
+        parameter grows;
+    (b) so every term v_k * c_kj of an admissible point is >= 0, hence
+        v_i * c_ij <= room_j, and v_i <= room_j // c_ij when c_ij > 0: each
+        cap holds every admissible point;
+    (c) a parameter that no pencil caps and no ``hi`` bounds has every
+        c_ij = 0, by (a), and K . sub_i <= 0, which the constructor checks;
+        lowering it to lo keeps a point admissible and never lowers -kappa,
+        so the box pins it at lo;
+    (d) with the outer parameters fixed, their use u_j of each room is
+        fixed, so by (a) the admissible last values are [lo, top]: top is
+        the box cap, lowered to (room_j - u_j) // c_j for each c_j > 0, and
+        the interval is empty if some c_j = 0 has u_j > room_j.  -kappa is
+        linear in the last value with slope K . sub_last, so its maximum
+        there is at top if the slope is > 0, and at lo otherwise.
+
+    Each fact reads ``record.forms``, which ``TestRecordForms`` ties to the
+    Gram matrix, and is checked by brute force over a box enlarged by 3
+    past each cap: for every shipped record at ``BOX_DEGREES``, and for the
+    records ``redraw`` draws.
+    """
+
+    @pytest.mark.parametrize("fact", BOX_FACTS, ids=lambda fact: fact.__name__)
+    def test_shipped_records(self, fact):
+        for record in load_cases():
+            for d in BOX_DEGREES:
+                fact(record, d)
+
+    @pytest.mark.parametrize("fact", BOX_FACTS, ids=lambda fact: fact.__name__)
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_redrawn_records(self, fact, data):
+        fact(*redraw(data))
 
 
 # The elimination computed check by check, kept as the differential oracle
@@ -1097,7 +1267,7 @@ class TestVerify:
         # and the audit finds them swept
         assert counts["max_neg_canonical_degree"] == 8 + 16
         # intersect only audits the lattices' K.K: the 24 records read their
-        # forms from the Gram rows the lattices keep, and the 144 sweeps read
+        # forms from K's kept row and their pencils' rows, and the 144 sweeps read
         # the forms kept on the records; the 11 lattices with a surface degree
         # are audited by adjunction at d = 1 and d = 2
         assert counts["intersect"] == 21

@@ -285,25 +285,20 @@ class TestIntersect:
 class TestGramRows:
     @pytest.mark.parametrize("lat", BUILTINS, ids=lambda lat: lat.name)
     def test_row_products_match_intersect(self, lat):
-        labels = sorted({*lat.named, *lat.basis})
-        assert sorted(lat.rows) == labels  # K is no label
-        lefts = [(a, lat.rows[a], lat.cls(a)) for a in labels]
-        lefts.append(("K", lat.canonical_row, lat.canonical))
-        for a, row, left in lefts:
-            for b in labels:
-                right = lat.cls(b)
-                assert sum(map(mul, row, right.coeffs)) == intersect(lat, left, right), (a, b)
+        # K's kept row against intersect, for every class label
+        for b in sorted({*lat.named, *lat.basis}):
+            right = lat.cls(b)
+            assert sum(map(mul, lat.canonical_row, right.coeffs)) == intersect(
+                lat, lat.canonical, right), b
 
-    def test_rows_are_built_with_the_lattice(self):
-        # a doctored Gram matrix moves them, and a named class shadows the
-        # basis vector of the same label, as in cls
-        k3 = builtin_lattice("k3_quartic")
-        doctored = PicardLattice(k3.name, k3.basis, ((5,),), k3.canonical, k3.named)
-        assert doctored.rows == {"H": (5,)} and doctored.canonical_row == (0,)
-        assert k3.rows == {"H": (4,)}
-        shadow = PicardLattice("shadow", ("A", "B"), ((1, 0), (0, -1)), DivisorClass((-1, 1)),
-                               {"A": DivisorClass((1, 1))})
-        assert shadow.rows == {"A": (1, -1), "B": (0, -1)} and shadow.canonical_row == (-1, -1)
+    def test_canonical_row_is_built_with_the_lattice(self):
+        # a doctored Gram matrix moves it; the lattice keeps no other row
+        cone = builtin_lattice("elliptic_cone")
+        assert cone.canonical_row == (3, -2)
+        doctored = PicardLattice(cone.name, cone.basis, ((-4, 1), (1, 0)), cone.canonical,
+                                 cone.named)
+        assert doctored.canonical_row == (5, -2)
+        assert not hasattr(cone, "rows")
 
 
 class TestCanonicalDegree:

@@ -62,8 +62,10 @@ def test_public_surface_is_the_readme_table_and_nothing_else():
 def test_every_public_case_function_runs_under_verify(capsys, monkeypatch):
     # each public function of cases, those the README lists and any other
     # the module defines, is called by some verify scope: a public name left
-    # with no caller fails here, and not only in the traced benchmark, which
-    # requires every span it wraps in cases to fire on verify queries
+    # with no caller fails here.  The traced benchmark would not catch it, as
+    # of the spans it wraps in cases it requires only load_cases and
+    # max_neg_canonical_degree to fire on verify queries (and
+    # check_elimination, were it defined)
     listed = {name for name in _readme_api()["genusgaps.cases"]
               if inspect.isfunction(getattr(cases, name))}
     defined = {name for name, obj in vars(cases).items()
