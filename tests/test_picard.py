@@ -291,7 +291,7 @@ class TestGramRows:
             assert sum(map(mul, lat.canonical_row, right.coeffs)) == intersect(
                 lat, lat.canonical, right), b
 
-    def test_canonical_row_is_built_with_the_lattice(self):
+    def test_rows_are_built_with_the_lattice(self):
         # a doctored Gram matrix moves it; the lattice keeps no other row
         cone = builtin_lattice("elliptic_cone")
         assert cone.canonical_row == (3, -2)
