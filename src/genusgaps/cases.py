@@ -369,11 +369,6 @@ def _by_id(records: tuple[CaseRecord, ...]) -> list[CaseRecord]:
     return out
 
 
-def expected_neg_kappa(record: CaseRecord, d: int) -> int:
-    per_d, const = record.expected_neg_kappa
-    return per_d * d + const
-
-
 def restricted_triples() -> tuple[tuple[int, int, int], ...]:
     """All (d, n, g) that must be eliminated to prove the second gap range, in order.
 
@@ -457,7 +452,9 @@ def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
     c_j = 0 already has used_j > room_j.  -kappa is linear in the last
     parameter with slope K . sub_last, so its maximum over the interval is
     at top if that slope is > 0 and at lo otherwise.  A record with no
-    parameters has the one class d*base, admissible iff every room_j >= 0.
+    parameters is swept as the one-point box: its one class d*base is a
+    last parameter pinned at 0 that meets no pencil, so the same closed
+    form admits it iff every room_j >= 0.
     """
     k_base, k_subs, _, sub_pencils = record.forms
     room = _room(record, d)
@@ -467,27 +464,25 @@ def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
         if p.hi is not None:
             caps.append(p.hi)
         ranges.append(range(p.lo, min(caps, default=p.lo) + 1))
-    best = None
     if not ranges:
-        if all(r >= 0 for r in room):
-            best = 0
-    else:
-        *outer, last = ranges
-        *outer_k, k_last = k_subs
-        columns = [[row[j] for row in sub_pencils[:-1]] for j in range(len(room))]
-        for point in itertools.product(*outer):
-            top = last.stop - 1
-            for col, r, coef in zip(columns, room, sub_pencils[-1]):
-                free = r - sum(map(mul, point, col))
-                if coef:
-                    top = min(top, free // coef)
-                elif free < 0:
-                    top = last.start - 1
-            if top >= last.start:
-                value = sum(map(mul, point, outer_k)) + k_last * (
-                    top if k_last > 0 else last.start)
-                if best is None or value > best:
-                    best = value
+        ranges, k_subs, sub_pencils = [range(1)], (0,), ((0,) * len(room),)
+    *outer, last = ranges
+    *outer_k, k_last = k_subs
+    columns = [[row[j] for row in sub_pencils[:-1]] for j in range(len(room))]
+    best = None
+    for point in itertools.product(*outer):
+        top = last.stop - 1
+        for col, r, coef in zip(columns, room, sub_pencils[-1]):
+            free = r - sum(map(mul, point, col))
+            if coef:
+                top = min(top, free // coef)
+            elif free < 0:
+                top = last.start - 1
+        if top >= last.start:
+            value = sum(map(mul, point, outer_k)) + k_last * (
+                top if k_last > 0 else last.start)
+            if best is None or value > best:
+                best = value
     if best is None:
         raise CaseDataError(f"{record.id}: no admissible curve class at d={d}")
     return best - d * k_base
@@ -508,17 +503,18 @@ def _swept(record: CaseRecord, d: int, swept: dict[tuple[str, tuple[int, ...]], 
 
 
 def _eliminations(
-    records: tuple[CaseRecord, ...], swept: dict[tuple[str, tuple[int, ...]], int]
+    records: list[CaseRecord], swept: dict[tuple[str, tuple[int, ...]], int]
 ) -> list[CheckResult]:
     """Every family's dimension count against every restricted triple, in report order.
 
+    ``records`` come in report order, as ``_by_id`` gives them, and
     ``swept`` is the calling ``verify_*``'s memo of ``_swept``.  -kappa and
     the bound it is counted against do not depend on g, so each (record, d)
     run reads them once and serves all its genera.
     """
     triples = restricted_triples()
     checks = []
-    for record in _by_id(records):
+    for record in records:
         case_id, n, family_dim = record.id, record.n, record.family_dim
         direct = record.mode == "direct-dim"
         tag = " (delegated)" if record.delegated else ""
@@ -541,22 +537,24 @@ def _eliminations(
 
 def verify_elimination(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
     """Run every applicable family against every restricted triple."""
-    records = load_cases() if cases is None else cases
+    records = _by_id(load_cases() if cases is None else cases)
     return VerificationReport(checks=tuple(_eliminations(records, {})))
 
 
 def _kappa_checks(
-    records: tuple[CaseRecord, ...], swept: dict[tuple[str, tuple[int, ...]], int]
+    records: list[CaseRecord], swept: dict[tuple[str, tuple[int, ...]], int]
 ) -> list[CheckResult]:
-    """Swept -kappa against the documented bound at the audit degrees.
+    """Swept -kappa against the documented bound per_d*d + const at the audit degrees.
 
+    ``records`` come in report order, as ``_by_id`` gives them, and
     ``swept`` is the calling ``verify_*``'s memo of ``_swept``.
     """
     checks = []
-    for record in _by_id(records):
+    for record in records:
         case_id = record.id
+        per_d, const = record.expected_neg_kappa
         for d in range(5, 21) if record.n == 3 else (6,):
-            got, want = _swept(record, d, swept), expected_neg_kappa(record, d)
+            got, want = _swept(record, d, swept), per_d * d + const
             checks.append(CheckResult(f"kappa/{case_id}/d{d}", got == want,
                                       f"max -kappa {got}, documented {want}"))
     return checks
@@ -584,7 +582,7 @@ def _lattice_checks() -> list[CheckResult]:
 
 def verify_kappa(cases: tuple[CaseRecord, ...] | None = None) -> VerificationReport:
     """Audit the lattice engine: documented kappa bounds, K^2 values, adjunction."""
-    records = load_cases() if cases is None else cases
+    records = _by_id(load_cases() if cases is None else cases)
     return VerificationReport(checks=tuple(_kappa_checks(records, {}) + _lattice_checks()))
 
 
@@ -596,7 +594,7 @@ def verify_all(cases: tuple[CaseRecord, ...] | None = None) -> VerificationRepor
     d, so it is swept once for all its degrees, and the audit finds every
     elimination sweep in the memo.
     """
-    records = load_cases() if cases is None else cases
+    records = _by_id(load_cases() if cases is None else cases)
     swept: dict[tuple[str, tuple[int, ...]], int] = {}
     return VerificationReport(
         checks=tuple(_eliminations(records, swept) + _kappa_checks(records, swept)

@@ -22,9 +22,12 @@ tokens.  That is the shape scripts send, and reading it skips argparse,
 whose parse and import cost more than a point query's answer.  Any other
 argv (help, errors, ``--format=json``, options before positionals,
 abbreviations) goes to an argparse parser built from the same table for
-that call.  Both readers give a ``SimpleNamespace``, and for every argv
-that ``_plain_args`` reads, argparse gives an equal one.  Nothing in this
-module outlives a call.
+that call.  Both readers give a ``SimpleNamespace`` of what argv says, and
+for every argv that ``_plain_args`` reads, argparse gives an equal one.
+After either reader, ``main`` takes the runner and each positional's kind
+from ``COMMANDS``: a positional that argparse left without a value of its
+kind (it gives ``[]`` for one whose only string is a second ``--``) is a
+usage error.  Nothing in this module outlives a call.
 
 JSON is written by the module's own emitter, ``_json``, whose output is
 byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)``.  On
@@ -119,13 +122,19 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv)
     if args is None:
+        parser = _build_parser()
         try:
-            args = _build_parser().parse_args(argv, SimpleNamespace())
+            args = parser.parse_args(argv, SimpleNamespace())
+            # argparse gives [] for a positional whose one string is a second "--"
+            for dest, kind, _ in COMMANDS[args.command][2]:
+                value = getattr(args, dest)
+                if not (type(value) is int if kind is int else value in kind):
+                    parser.error(f"argument {dest}: expected one argument")
         except SystemExit as exc:
             code = exc.code
             return code if isinstance(code, int) else 2
     try:
-        record = args.run(args)
+        record = COMMANDS[args.command][1](args)
         # rendering raises ValueError too: an int beyond sys.get_int_max_str_digits()
         out = _render(args, record)
     except (ValueError, case_mod.CaseDataError, OSError) as exc:
@@ -470,7 +479,7 @@ def _plain_args(argv: object) -> SimpleNamespace | None:
         tokens, fmt = tokens[:-2], tokens[-1]
         if fmt not in FORMATS:
             return None
-    _, run, positionals = spec
+    positionals = spec[2]
     if len(tokens) != len(positionals):
         return None
     values = {}
@@ -486,7 +495,7 @@ def _plain_args(argv: object) -> SimpleNamespace | None:
             values[dest] = token
         else:
             return None
-    return SimpleNamespace(command=command, format=fmt, run=run, **values)
+    return SimpleNamespace(command=command, format=fmt, **values)
 
 
 # built per call, not at import, so plain argv never imports argparse
@@ -499,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "very general surfaces in P^3.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, run, positionals) in COMMANDS.items():
+    for name, (help_text, _, positionals) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--format",
@@ -512,5 +521,4 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(dest, type=int, help=about)
             else:
                 p.add_argument(dest, choices=kind, help=about)
-        p.set_defaults(run=run)
     return parser

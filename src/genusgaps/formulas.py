@@ -7,9 +7,9 @@ free of rounding by construction.
 
 Conventions: ``d`` is the degree of the ambient surface, ``n`` the degree
 of the cutting surface.  ``linsys_dim(d, 0) == 0`` and
-``arithmetic_genus(d, 0) == 1`` so that the degree-0 cut is a usable base
-case for interval recursions; callers interested in actual curves pass
-``n >= 1``.
+``arithmetic_genus(d, 0) == 1`` are defined for the degree-0 cut, whose
+only reader is ``contiguity_holds(d, 1)`` through ``arithmetic_genus(d, 0)``;
+callers interested in actual curves pass ``n >= 1``.
 """
 
 from __future__ import annotations

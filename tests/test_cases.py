@@ -29,7 +29,6 @@ from genusgaps.cases import (
     SweepConstraint,
     SweepParam,
     _linear_forms,
-    expected_neg_kappa,
     load_cases,
     max_neg_canonical_degree,
     restricted_triples,
@@ -454,6 +453,10 @@ class TestCaseTable:
         )
         assert oracle_max_neg_kappa(family, 6, 40) == 16
 
+    def test_negative_constraint_bound_rejected(self):
+        with pytest.raises(CaseDataError, match=r"^quartic-dp2: negative constraint bound on P$"):
+            rebuild(by_id("quartic-dp2"), constraints=(SweepConstraint("P", -1),))
+
     def test_negative_pair_rejected_when_built_in_code(self):
         with pytest.raises(CaseDataError, match="ruled-b-negative-pair"):
             CaseRecord(
@@ -736,7 +739,6 @@ class TestMaxNegKappa:
         for d in degrees:
             want = coeffs[0] * d + coeffs[1]
             assert max_neg_canonical_degree(record, d) == want
-            assert expected_neg_kappa(record, d) == want
 
     def test_spot_values(self):
         assert max_neg_canonical_degree(by_id("quartic-elliptic-ruled-a"), 6) == 16
@@ -756,6 +758,21 @@ class TestMaxNegKappa:
         for d in (6, 7, 8):
             record = by_id("cubic-ii.a-ddag")
             assert max_neg_canonical_degree(record, d) == oracle_max_neg_kappa(record, d, 5)
+
+    def test_no_parameters_with_a_pencil(self):
+        # the one class d*base, swept as a one-point box: admissible iff its
+        # room d*(base . Lam) - min is >= 0, where -kappa = -d*(K . base)
+        record = rebuild(by_id("quartic-rational-b"), params=())
+        k_base, _, (base_lam,), _ = record.forms
+        for d in (5, 6, 7):
+            fits = rebuild(record, constraints=(SweepConstraint("Lam", d * base_lam),))
+            assert max_neg_canonical_degree(fits, d) == -d * k_base == 2 * d
+            over = rebuild(record, constraints=(SweepConstraint("Lam", d * base_lam + 1),))
+            with pytest.raises(CaseDataError, match=rf"no admissible curve class at d={d}$"):
+                max_neg_canonical_degree(over, d)
+            for r in (fits, over):
+                assert outcome(max_neg_canonical_degree, r, d) == outcome(
+                    class_sweep_max_neg_kappa, r, d)
 
     def test_infeasible_constraints_abort(self):
         record = by_id("quartic-elliptic-ruled-a")
@@ -1072,12 +1089,20 @@ class TestEliminationAgainstOracle:
                                           "delegated": True}, id="cubic-direct-delegated"),
         pytest.param("quartic-dp2", {"n": 3}, id="constrained-cubic"),
         pytest.param("quartic-K3", {"family_dim": 80}, id="failing"),
+        # a1 and a2 each fit the room of F alone but not together, and b
+        # meets F in 0: the closed form must empty b's interval there
+        pytest.param("quartic-elliptic-ruled-b-two",
+                     {"params": (SweepParam("a1", "E1"), SweepParam("a2", "E2"),
+                                 SweepParam("b", "F1"))}, id="overdrawn-outer-point"),
     ])
     def test_named_records(self, case_id, changes):
         record = rebuild(by_id(case_id), **changes)
         rooms = {case_mod._room(record, d) for d in (6, 7, 8)}
         # a constraint-free family has one room, the empty one, at every d
         assert (rooms == {()}) == (not record.constraints)
+        for d in (6, 7, 8):
+            assert outcome(max_neg_canonical_degree, record, d) == outcome(
+                class_sweep_max_neg_kappa, record, d)
         want = oracle_eliminations((record,))
         assert verify_elimination((record,)).checks == want
         assert verify_all((record,)).checks[:len(want)] == want
@@ -1285,8 +1310,10 @@ class TestVerify:
             for d in range(5, 21) if record.n == 3 else (6,):
                 max_neg_canonical_degree(record, d)
         # outer points at the audit degrees: the box over every parameter
-        # but the last, which is taken in closed form
-        assert points == 132
+        # but the last, which is taken in closed form; a record with no
+        # parameters is the one-point box, at 16 degrees for each of its 5
+        # cubic records and at 1 for each of its 5 quartic ones
+        assert points == 132 + 5 * 16 + 5 * 1
 
     @pytest.mark.parametrize("verify", [verify_elimination, verify_kappa, verify_all])
     def test_verify_rejects_duplicate_ids(self, verify):

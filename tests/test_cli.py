@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_cases import draw_mutated_table, shipped
 from test_cli_golden import GOLDEN
@@ -482,6 +482,20 @@ class TestUsage:
     def test_bad_format(self, capsys):
         assert cli.main(["status", "5", "1", "--format", "yaml"]) == 2
 
+    @pytest.mark.parametrize("argv,dest", [
+        (["status", "6", "--", "--"], "g"),
+        (["status", "--", "1", "--"], "g"),
+        (["certify", "6", "--", "--"], "g"),
+        (["table", "5", "--", "--"], "d_max"),
+    ])
+    def test_positional_double_dash_is_a_usage_error(self, capsys, argv, dest):
+        # argparse up to 3.12.1 and 3.13.0 reads a second "--" as a positional
+        # with the value [], which main refuses; later ones refuse it themselves
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"error: argument {dest}: " in err.splitlines()[-1]
+        assert err.count("error:") == 1 and "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
 
@@ -828,6 +842,10 @@ def _argvs(draw) -> list[str]:
         tokens.insert(draw(st.integers(0, len(tokens))), draw(token))
     elif extra < 0:
         del tokens[draw(st.integers(0, len(tokens) - 1))]
+    if tokens and draw(st.integers(0, 3)) == 0:
+        # a last positional "--" after a "--" separator, which argparse reads as []
+        tokens[-1] = "--"
+        tokens.insert(draw(st.integers(0, len(tokens) - 1)), "--")
     for piece in draw(st.lists(_FORMAT_PIECES, max_size=2)):
         at = len(tokens) if draw(st.booleans()) else draw(st.integers(0, len(tokens)))
         tokens[at:at] = piece
@@ -906,6 +924,7 @@ class TestPlainRoute:
 
     @settings(max_examples=400, deadline=None)
     @given(_argvs())
+    @example(["status", "--", "1", "--"])
     def test_same_as_argparse(self, argv):
         plain = cli._plain_args(argv)
         if plain is not None:

@@ -140,6 +140,10 @@ class TestCertify:
                     w = realizable_interval(d, cert.n)
                     assert g in w
 
+    def test_negative_genus_rejected(self):
+        with pytest.raises(ValueError, match=r"^genus must be >= 0, got -1$"):
+            certify_nongap(6, -1)
+
     def test_degree_four_always_certifies(self):
         for g in range(0, 500):
             cert = certify_nongap(4, g)

@@ -256,7 +256,7 @@ def _records() -> list:
     parser = cli._build_parser()
     argvs = [["status", "6", "13"], ["certify", "7", "30"], ["decompose", "7"],
              ["decompose", "4"], ["bounds", "9"], ["table", "4", "6"], ["verify", "cases"]]
-    out = [args.run(args) for args in map(parser.parse_args, argvs)]
+    out = [cli.COMMANDS[args.command][1](args) for args in map(parser.parse_args, argvs)]
     return out + [cli.Record(dict, ["h"], list, list, 1), cli.Record(dict, [], list, list)]
 
 
