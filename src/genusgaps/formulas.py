@@ -10,6 +10,11 @@ of the cutting surface.  ``linsys_dim(d, 0) == 0`` and
 ``arithmetic_genus(d, 0) == 1`` are defined for the degree-0 cut, whose
 only reader is ``contiguity_holds(d, 1)`` through ``arithmetic_genus(d, 0)``;
 callers interested in actual curves pass ``n >= 1``.
+
+``_check_d``, ``_check_cut`` and ``_check_genus`` are the one home of the
+shared argument rules: a surface degree, cutting degree or genus below its
+least value raises ``ValueError`` with the one message written there,
+whichever of ``formulas``, ``gapmap``, ``picard`` or ``cli`` checks it.
 """
 
 from __future__ import annotations
@@ -22,9 +27,14 @@ def _check_d(d: int, minimum: int) -> None:
         raise ValueError(f"surface degree must be >= {minimum}, got {d}")
 
 
-def _check_cut(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"cutting degree must be >= 0, got {n}")
+def _check_cut(n: int, minimum: int) -> None:
+    if n < minimum:
+        raise ValueError(f"cutting degree must be >= {minimum}, got {n}")
+
+
+def _check_genus(g: int) -> None:
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, got {g}")
 
 
 def ambient_dim(d: int) -> int:
@@ -37,7 +47,7 @@ def ambient_dim(d: int) -> int:
 def linsys_dim(d: int, n: int) -> int:
     """Dimension of the linear system cut on a degree-d surface by degree-n surfaces."""
     _check_d(d, 1)
-    _check_cut(n)
+    _check_cut(n, 0)
     if n < d:
         return ambient_dim(n)
     return ambient_dim(n) - ambient_dim(n - d) - 1
@@ -46,7 +56,7 @@ def linsys_dim(d: int, n: int) -> int:
 def arithmetic_genus(d: int, n: int) -> int:
     """Arithmetic genus of a complete intersection of degrees (d, n)."""
     _check_d(d, 1)
-    _check_cut(n)
+    _check_cut(n, 0)
     # d*n*(d+n-4) is even for every d and n, proved in tests/test_formulas.py
     return d * n * (d + n - 4) // 2 + 1
 
@@ -70,8 +80,7 @@ def clemens_min_genus(d: int, n: int) -> int:
     """
     if d < 5:
         raise ValueError(f"genus bound requires d >= 5, got {d}")
-    if n < 1:
-        raise ValueError(f"cutting degree must be >= 1, got {n}")
+    _check_cut(n, 1)
     # n*d*(d-5) is even for every d and n, proved in tests/test_formulas.py
     return n * d * (d - 5) // 2 + 2
 
@@ -83,6 +92,5 @@ def contiguity_holds(d: int, n: int) -> bool:
     window, i.e. their union is a single integer interval.
     """
     _check_d(d, 1)
-    if n < 1:
-        raise ValueError(f"cutting degree must be >= 1, got {n}")
+    _check_cut(n, 1)
     return linsys_dim(d, n) >= arithmetic_genus(d, n) - arithmetic_genus(d, n - 1) - 1

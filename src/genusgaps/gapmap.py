@@ -27,7 +27,8 @@ from math import isqrt
 from operator import sub
 
 from ._value import Value, setters
-from .formulas import _check_d, arithmetic_genus, contiguity_holds, linsys_dim
+from .formulas import (_check_cut, _check_d, _check_genus, arithmetic_genus, contiguity_holds,
+                       linsys_dim)
 from .intervals import Interval, IntervalSet
 
 PROVED_GAP = "ProvedGap"
@@ -117,8 +118,7 @@ class GapDecomposition(Value):
 def realizable_interval(d: int, n: int) -> Interval:
     """Genus window certified realizable by degree-n cuts of a degree-d surface."""
     _check_d(d, 4)
-    if n < 1:
-        raise ValueError(f"cutting degree must be >= 1, got {n}")
+    _check_cut(n, 1)
     return Interval(*_window(d, n))
 
 
@@ -180,7 +180,9 @@ def refined_horizon(d: int) -> int:
 
     Bisects [1, d] for the least n* such that consecutive windows join at
     every n >= n* (beyond d they always do), and returns the last genus
-    below the window at n* - 1.
+    below the window at n* - 1.  That window is read through ``_window``
+    with no second check: d >= 5 is checked here, and n* >= 2 as f(1) < 0
+    (fact (b) below).
 
     Fact (b): the n in [1, d] where the windows at n-1 and n join form an
     upper ray.  For n < d they join iff f(n) = C(n+3,3) - d(2n+d-5)/2 >= 0.
@@ -194,7 +196,7 @@ def refined_horizon(d: int) -> int:
     while lo < hi:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if contiguity_holds(d, mid) else (mid + 1, hi)
-    return realizable_interval(d, lo - 1).lo - 1
+    return _window(d, lo - 1)[0] - 1
 
 
 def _first_n_reaching(d: int, g: int) -> int:
@@ -225,7 +227,9 @@ def certify_nongap(d: int, g: int) -> Certificate | None:
 
     Windows below n = _first_n_reaching(d, g) end below g, so n is the only
     candidate: by fact (a), if its window starts above g so do all later ones.
-    As n comes from one ``isqrt``, a query evaluates that one window alone.
+    As n comes from one ``isqrt``, a query evaluates that one window alone,
+    read through ``_window`` with no second check: d >= 4 is checked here,
+    and ``_first_n_reaching`` returns n >= 1.
 
     Fact (a): for d >= 4 the window bottoms b(n) = p_a - l never decrease
     in n >= 1.  The step s(n) = b(n) - b(n-1) is, for 2 <= n < d, the concave
@@ -235,18 +239,16 @@ def certify_nongap(d: int, g: int) -> Certificate | None:
     d(2n+d-5)/2 - C(n+2,2) + C(n-d+2,2) = d(d-4).
     """
     _check_d(d, 4)
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
+    _check_genus(g)
     n = _first_n_reaching(d, g)
-    w = realizable_interval(d, n)
-    return Certificate(n=n, delta=w.hi - g) if w.lo <= g else None
+    lo, hi = _window(d, n)
+    return Certificate(n=n, delta=hi - g) if lo <= g else None
 
 
 def status(d: int, g: int) -> GapStatus:
     """Three-valued verdict for genus g on a very general degree-d surface."""
     _check_d(d, 1)
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
+    _check_genus(g)
     if d <= 3:
         return GapStatus(CERTIFIED_NONGAP, SOURCE_LOW_DEGREE)
     for gaps, source in _proved_gaps(d):

@@ -27,6 +27,7 @@ from __future__ import annotations
 from operator import mul
 
 from ._value import Value, setters
+from .formulas import _check_genus
 
 # the default of ``PicardLattice.named``, replaced by a new dict in each lattice
 _FRESH_DICT: dict = {}
@@ -156,8 +157,7 @@ def canonical_degree(lat: PicardLattice, gamma: DivisorClass) -> int:
 
 def family_dim_bound(g: int, canonical_deg: int) -> int:
     """Upper bound on the dimension of a family of irreducible genus-g curves."""
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
+    _check_genus(g)
     return max(g, g - 1 - canonical_deg)
 
 

@@ -457,6 +457,19 @@ class TestCaseTable:
         with pytest.raises(CaseDataError, match=r"^quartic-dp2: negative constraint bound on P$"):
             rebuild(by_id("quartic-dp2"), constraints=(SweepConstraint("P", -1),))
 
+    @pytest.mark.parametrize(
+        "field, value, why",
+        [
+            ("family_dim", -1, "family_dim must be >= 0"),
+            ("n", 5, "cutting degree must be 3 or 4"),
+            ("mode", "x", "unknown mode 'x'"),
+        ],
+        ids=["family_dim", "n", "mode"],
+    )
+    def test_out_of_range_field_rejected(self, field, value, why):
+        with pytest.raises(CaseDataError, match=f"^quartic-dp2: {why}$"):
+            rebuild(by_id("quartic-dp2"), **{field: value})
+
     def test_negative_pair_rejected_when_built_in_code(self):
         with pytest.raises(CaseDataError, match="ruled-b-negative-pair"):
             CaseRecord(

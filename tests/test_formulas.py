@@ -16,6 +16,8 @@ from genusgaps.formulas import (
     cut_system_dim,
     linsys_dim,
 )
+from genusgaps.gapmap import status
+from genusgaps.picard import family_dim_bound
 
 
 def count_monomials_up_to(degree: int) -> int:
@@ -73,6 +75,7 @@ class TestLinsysDim:
             assert linsys_dim(4, n) == arithmetic_genus(4, n)
 
 
+# every message comes from a check in formulas, whichever module calls it
 @pytest.mark.parametrize(
     "fn,args,match",
     [
@@ -80,11 +83,15 @@ class TestLinsysDim:
         (arithmetic_genus, (5, -1), "cutting degree must be >= 0, got -1"),
         (clemens_min_genus, (6, 0), "cutting degree must be >= 1, got 0"),
         (contiguity_holds, (6, 0), "cutting degree must be >= 1, got 0"),
+        (linsys_dim, (5, -1), "cutting degree must be >= 0, got -1"),
+        (status, (6, -1), "genus must be >= 0, got -1"),
+        (family_dim_bound, (-1, 0), "genus must be >= 0, got -1"),
     ],
-    ids=["linsys_dim", "arithmetic_genus", "clemens_min_genus", "contiguity_holds"],
+    ids=["linsys_dim", "arithmetic_genus", "clemens_min_genus", "contiguity_holds",
+         "linsys_dim_cut", "status", "family_dim_bound"],
 )
 def test_rejects_degree_out_of_range(fn, args, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
         fn(*args)
 
 

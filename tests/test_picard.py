@@ -266,6 +266,9 @@ class TestIntersect:
         with pytest.raises(ValueError, match="rank mismatch: 1 vs 2"):
             DivisorClass((1,)) + DivisorClass((1, 0))
 
+    def test_add(self):
+        assert DivisorClass((1, 2)) + DivisorClass((3, 4)) == DivisorClass((4, 6))
+
     @given(lattice_and_classes())
     def test_matches_nested_oracle(self, drawn):
         lat, a, b = drawn
@@ -280,6 +283,23 @@ class TestIntersect:
                 nested_intersect(lat, x, y)
             with pytest.raises(ValueError, match="does not match lattice rank"):
                 intersect(lat, x, y)
+
+
+class TestLatticeShape:
+    @pytest.mark.parametrize(
+        "gram, named, why",
+        [
+            (((-3, 1),), {}, "gram must be 2x2"),
+            (((-3, 1, 0), (1, 0, 0)), {}, "gram must be 2x2"),
+            (((-3, 1), (2, 0)), {}, r"gram not symmetric at \(0,1\)"),
+            (((-3, 1), (1, 0)), {"H": DivisorClass((1,))}, "class H has wrong rank"),
+        ],
+        ids=["rows", "columns", "asymmetric", "named-rank"],
+    )
+    def test_rejected(self, gram, named, why):
+        cone = builtin_lattice("elliptic_cone")
+        with pytest.raises(ValueError, match=f"^elliptic_cone: {why}$"):
+            PicardLattice(cone.name, cone.basis, gram, cone.canonical, named)
 
 
 class TestGramRows:
