@@ -12,6 +12,9 @@ command keeps its own exit code and prints no traceback.
 Each command returns one :class:`Record` and never sees ``--format``:
 the record says how to build its answer in each shape, and ``main``
 builds and renders only the requested one, then writes stdout once.
+``_render`` builds the answer as one list of pieces and joins it once,
+with its final newline, so the join is the one output-sized copy and a
+render peaks at about twice its output.
 
 ``COMMANDS`` declares every subcommand once: its help, its runner and
 its positionals.  Two readers take argv from that table.  ``_plain_args``
@@ -33,12 +36,13 @@ JSON is written by the module's own emitter, ``_json``, whose output is
 byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)``.  On
 Python 3.10 to 3.12, ``json.dumps`` with ``indent`` set runs its
 pure-Python encoder, which cost more than building the record for a large
-decomposition; from 3.13 on it runs the C encoder there too.  Two shapes
-are written through one %-template for all their items: an
-``IntervalSet`` (the parts of a decomposition), as the list of its
-``[lo, hi]`` pairs, and a list of dicts that share one non-empty key set
-and hold only str, int, bool or None (the checks of a verify report).  Any
-other list is written item by item.
+decomposition; from 3.13 on it runs the C encoder there too.  Its writer,
+``_write``, appends a container's pieces to the answer's list in order, so
+no piece copies another.  Two shapes are written through one %-template
+for all their items, as one piece: an ``IntervalSet`` (the parts of a
+decomposition), as the list of its ``[lo, hi]`` pairs, and a list of dicts
+that share one non-empty key set and hold only str, int, bool or None (the
+checks of a verify report).  Any other list is written item by item.
 """
 
 from __future__ import annotations
@@ -153,14 +157,22 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _render(args: SimpleNamespace, record: Record) -> str:
+    """The answer in ``args.format``: a list of pieces, joined once with its newline.
+
+    The join is the only copy of the whole answer, so a render peaks at
+    about twice its output.
+    """
     if args.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **record.fields()}
-        return _json(payload, "") + "\n"
+        out: list[str] = []
+        _write({"schema_version": SCHEMA_VERSION, "command": args.command, **record.fields()},
+               "", out)
+        out.append("\n")
+        return "".join(out)
     if args.format == "csv":
         lines = [",".join(record.header), *record.rows()]
     else:
         lines = record.lines()
-    return "\n".join(lines) + "\n"  # every record has at least one line
+    return "\n".join([*lines, ""])  # every record has at least one line
 
 
 def _csv_row(cells: list[object]) -> str:
@@ -174,10 +186,8 @@ def _json(value: object, pad: str) -> str:
     Dict keys are str, as in every record.  Strings go through the C
     escaper ``json.dumps`` itself uses under ``ensure_ascii``, ints (not
     bools) through ``int.__repr__``, and any other scalar through
-    ``json.dumps``.  An ``IntervalSet`` is written as its pair list, all
-    pairs through one %-template over its flat bounds.  A list of flat dict
-    rows of one shape is rendered through one %-template (``_templated``);
-    any other list goes item by item.
+    ``json.dumps``.  A scalar is returned directly, with no list; a
+    container is written as pieces by ``_write`` and joined once.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -189,31 +199,54 @@ def _json(value: object, pad: str) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, (dict, list, tuple, IntervalSet)):
+        out: list[str] = []
+        _write(value, pad, out)
+        return "".join(out)
+    import json  # only for a scalar no record holds, such as a float
+    return json.dumps(value)
+
+
+def _write(value: object, pad: str, out: list[str]) -> None:
+    """Append to ``out`` the pieces of ``_json(value, pad)``, in order.
+
+    A container appends its brackets, separators and keys, and each of its
+    values in turn, so no piece holds a copy of another.  An ``IntervalSet``
+    body, all its ``[lo, hi]`` pairs through one %-template over its flat
+    bounds, is one piece, and so is the body of a list of flat dict rows of
+    one shape (``_templated``); any other list goes item by item.
+    """
+    if not isinstance(value, (dict, list, tuple, IntervalSet)):
+        out.append(_json(value, pad))
+        return
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = sep.join(
-            encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)
-        )
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        body = _templated(value, inner)
-        if body is None:
-            body = sep.join(_json(item, inner) for item in value)
-        return "[\n" + inner + body + "\n" + pad + "]"
+        lead = "{\n" + inner
+        for key in sorted(value):
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, out)
+            lead = sep
+        out.append("\n" + pad + "}")
+        return
     if isinstance(value, IntervalSet):
-        if not value:
-            return "[]"
         cell = inner + "  "
         pair = "[\n" + cell + "%d,\n" + cell + "%d\n" + inner + "]"
         body = sep.join([pair] * (len(value.bounds) // 2)) % value.bounds
-        return "[\n" + inner + body + "\n" + pad + "]"
-    import json  # only for a scalar no record holds, such as a float
-    return json.dumps(value)
+    else:
+        body = _templated(value, inner)
+    if body is None:
+        lead = "[\n" + inner
+        for item in value:
+            out.append(lead)
+            _write(item, inner, out)
+            lead = sep
+    else:
+        out += ("[\n" + inner, body)
+    out.append("\n" + pad + "]")
 
 
 _FLAT = {str, int, bool, type(None)}  # the exact types a templated dict row may hold
@@ -344,7 +377,9 @@ def _decomposition(dec: GapDecomposition) -> Record:
         sides += [f"{dec.d},unknown,%d,%d,"] * (len(u) // 2)
         g, bounds = proved.bounds + u, [0] * (len(proved.bounds) + len(u) + len(c))
         bounds[0::4], bounds[1::4], bounds[2::4], bounds[3::4] = g[0::2], g[1::2], c[0::2], c[1::2]
-        return [f"\n{dec.d},certified,%d,%d,\n".join(sides) % tuple(bounds)]
+        cells = tuple(bounds)
+        del g, bounds  # dropped before the template is built: not alive during the %
+        return [f"\n{dec.d},certified,%d,%d,\n".join(sides) % cells]
 
     def lines() -> list[str]:
         out = [f"degree {dec.d}: gaps confined to [0,{dec.horizon}]"]

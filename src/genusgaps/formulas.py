@@ -78,8 +78,7 @@ def clemens_min_genus(d: int, n: int) -> int:
     The classical lower bound is strict and integral, so the least
     admissible genus is the bound plus one.
     """
-    if d < 5:
-        raise ValueError(f"genus bound requires d >= 5, got {d}")
+    _check_d(d, 5)
     _check_cut(n, 1)
     # n*d*(d-5) is even for every d and n, proved in tests/test_formulas.py
     return n * d * (d - 5) // 2 + 2

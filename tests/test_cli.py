@@ -13,6 +13,7 @@ import random
 import subprocess
 from collections import Counter
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -557,9 +558,6 @@ class TestClosedStdout:
     def test_exits_quietly(self, capsys, argv):
         want = cli.main(argv)
         capsys.readouterr()
-        env = dict(os.environ)
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         read_end, write_end = os.pipe()
         os.close(read_end)  # every write to the pipe now fails with EPIPE
         try:
@@ -568,7 +566,7 @@ class TestClosedStdout:
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 text=True,
-                env=env,
+                env=self.env(),
             )
         finally:
             os.close(write_end)
@@ -576,6 +574,56 @@ class TestClosedStdout:
         assert proc.returncode == want
         assert "Traceback" not in proc.stderr
         assert proc.stderr == ""
+
+    def test_reader_closes_mid_answer(self):
+        # about 1.7 MB, far beyond a pipe buffer: the one write of the answer
+        # is cut short after the reader has taken its first bytes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "genusgaps", "decompose", "1000000", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self.env(),
+        )
+        head = proc.stdout.read(64)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head.startswith(b'{\n  "certified": [\n') and len(head) == 64
+        assert proc.returncode == 0
+        assert b"Traceback" not in err
+        assert err == b""
+
+    @staticmethod
+    def env() -> dict[str, str]:
+        """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        return env
+
+
+class TestRenderMemory:
+    """``_render`` copies its whole answer once, so it peaks at about twice its output.
+
+    The pieces and the string joined from them are the floor of two
+    outputs; each further copy of the answer adds one output more.
+    """
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize("command, positionals", [
+        ("decompose", {"d": 200000}),
+        ("table", {"d_min": 1500, "d_max": 1503}),
+    ], ids=["decompose", "table"])
+    def test_peak_is_about_twice_the_output(self, command, positionals, fmt):
+        args = SimpleNamespace(command=command, format=fmt, **positionals)
+        record = cli.COMMANDS[command][1](args)
+        tracemalloc.start()
+        try:
+            out = cli._render(args, record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.isascii()  # so len(out) is its size in bytes
+        assert peak <= 2.5 * len(out), (peak, len(out))
 
 
 class TestParserReuse:

@@ -86,9 +86,10 @@ class TestLinsysDim:
         (linsys_dim, (5, -1), "cutting degree must be >= 0, got -1"),
         (status, (6, -1), "genus must be >= 0, got -1"),
         (family_dim_bound, (-1, 0), "genus must be >= 0, got -1"),
+        (clemens_min_genus, (4, 1), "surface degree must be >= 5, got 4"),
     ],
     ids=["linsys_dim", "arithmetic_genus", "clemens_min_genus", "contiguity_holds",
-         "linsys_dim_cut", "status", "family_dim_bound"],
+         "linsys_dim_cut", "status", "family_dim_bound", "clemens_min_genus_degree"],
 )
 def test_rejects_degree_out_of_range(fn, args, match):
     with pytest.raises(ValueError, match=f"^{match}$"):
