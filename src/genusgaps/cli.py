@@ -32,17 +32,17 @@ from ``COMMANDS``: a positional that argparse left without a value of its
 kind (it gives ``[]`` for one whose only string is a second ``--``) is a
 usage error.  Nothing in this module outlives a call.
 
-JSON is written by the module's own emitter, ``_json``, whose output is
+JSON is written by the module's one emitter, ``_write``, whose output is
 byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)``.  On
 Python 3.10 to 3.12, ``json.dumps`` with ``indent`` set runs its
 pure-Python encoder, which cost more than building the record for a large
-decomposition; from 3.13 on it runs the C encoder there too.  Its writer,
-``_write``, appends a container's pieces to the answer's list in order, so
-no piece copies another.  Two shapes are written through one %-template
-for all their items, as one piece: an ``IntervalSet`` (the parts of a
-decomposition), as the list of its ``[lo, hi]`` pairs, and a list of dicts
-that share one non-empty key set and hold only str, int, bool or None (the
-checks of a verify report).  Any other list is written item by item.
+decomposition; from 3.13 on it runs the C encoder there too.  ``_write``
+appends a value's pieces to the answer's list in order, so no piece copies
+another.  Two shapes are written through one %-template for all their
+items, as one piece: an ``IntervalSet`` (the parts of a decomposition), as
+the list of its ``[lo, hi]`` pairs, and a list of dicts that share one
+non-empty key set and hold only str, int, bool or None (the checks of a
+verify report).  Any other list is written item by item.
 """
 
 from __future__ import annotations
@@ -180,73 +180,62 @@ def _csv_row(cells: list[object]) -> str:
     return ",".join(["" if v is None else str(v) for v in cells])
 
 
-def _json(value: object, pad: str) -> str:
-    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it, nested at ``pad``.
-
-    Dict keys are str, as in every record.  Strings go through the C
-    escaper ``json.dumps`` itself uses under ``ensure_ascii``, ints (not
-    bools) through ``int.__repr__``, and any other scalar through
-    ``json.dumps``.  A scalar is returned directly, with no list; a
-    container is written as pieces by ``_write`` and joined once.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (dict, list, tuple, IntervalSet)):
-        out: list[str] = []
-        _write(value, pad, out)
-        return "".join(out)
-    import json  # only for a scalar no record holds, such as a float
-    return json.dumps(value)
-
-
 def _write(value: object, pad: str, out: list[str]) -> None:
-    """Append to ``out`` the pieces of ``_json(value, pad)``, in order.
+    """Append to ``out``, in order, the pieces of ``value`` as JSON nested at ``pad``.
 
+    Joined, they are ``json.dumps(value, sort_keys=True, indent=2)`` with
+    each line after the first indented by ``pad``.  Dict keys are str, as in
+    every record.  A scalar is one piece: a str through the C escaper
+    ``json.dumps`` itself uses under ``ensure_ascii``, an int (not a bool)
+    through ``int.__repr__``, and any other scalar through ``json.dumps``.
     A container appends its brackets, separators and keys, and each of its
     values in turn, so no piece holds a copy of another.  An ``IntervalSet``
     body, all its ``[lo, hi]`` pairs through one %-template over its flat
-    bounds, is one piece, and so is the body of a list of flat dict rows of
-    one shape (``_templated``); any other list goes item by item.
+    bounds (``_each_part``), is one piece, and so is the body of a list of
+    flat dict rows of one shape (``_templated``); any other list goes item
+    by item.
     """
-    if not isinstance(value, (dict, list, tuple, IntervalSet)):
-        out.append(_json(value, pad))
-        return
-    if not value:
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (dict, list, tuple, IntervalSet)):
+        import json  # only for a scalar no record holds, such as a float
+        out.append(json.dumps(value))
+    elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
-        return
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        lead = "{\n" + inner
-        for key in sorted(value):
-            out.append(lead + encode_basestring_ascii(key) + ": ")
-            _write(value[key], inner, out)
-            lead = sep
-        out.append("\n" + pad + "}")
-        return
-    if isinstance(value, IntervalSet):
-        cell = inner + "  "
-        pair = "[\n" + cell + "%d,\n" + cell + "%d\n" + inner + "]"
-        body = sep.join([pair] * (len(value.bounds) // 2)) % value.bounds
     else:
-        body = _templated(value, inner)
-    if body is None:
-        lead = "[\n" + inner
-        for item in value:
-            out.append(lead)
-            _write(item, inner, out)
-            lead = sep
-    else:
-        out += ("[\n" + inner, body)
-    out.append("\n" + pad + "]")
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            lead = "{\n" + inner
+            for key in sorted(value):
+                out.append(lead + encode_basestring_ascii(key) + ": ")
+                _write(value[key], inner, out)
+                lead = sep
+            out.append("\n" + pad + "}")
+            return
+        if isinstance(value, IntervalSet):
+            cell = inner + "  "
+            pair = "[\n" + cell + "%d,\n" + cell + "%d\n" + inner + "]"
+            body = _each_part(pair, value.bounds, sep)
+        else:
+            body = _templated(value, inner)
+        if body is None:
+            lead = "[\n" + inner
+            for item in value:
+                out.append(lead)
+                _write(item, inner, out)
+                lead = sep
+        else:
+            out += ("[\n" + inner, body)
+        out.append("\n" + pad + "]")
 
 
 _FLAT = {str, int, bool, type(None)}  # the exact types a templated dict row may hold
@@ -256,9 +245,9 @@ def _templated(items: list | tuple, inner: str) -> str | None:
     """The dict rows of a non-empty list at ``inner``, written by one %-template, or None.
 
     The rows must share one non-empty key set and hold only the scalars the
-    module docstring names, each value going through ``_json``.  Types are
-    checked exactly first, so an item that is not a dict, a float or nested
-    value, or an item or value of a subclass gets None.
+    module docstring names, each value written by ``_write`` into one list.
+    Types are checked exactly first, so an item that is not a dict, a float
+    or nested value, or an item or value of a subclass gets None.
     """
     if set(map(type, items)) != {dict} or len(key_sets := set(map(frozenset, items))) != 1:
         return None
@@ -266,13 +255,16 @@ def _templated(items: list | tuple, inner: str) -> str | None:
     cells = [item[key] for item in items for key in keys]
     if not keys or not set(map(type, cells)) <= _FLAT:
         return None
-    cells = [_json(v, "") for v in cells]
+    pieces: list[str] = []
+    for v in cells:
+        _write(v, "", pieces)
+    del cells  # dropped before the template is built: not alive during the %
     cell = inner + "  "
     # a key is written into the template, so its % signs are doubled
     row = "{\n" + cell + (",\n" + cell).join(
         [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
     ) + "\n" + inner + "}"
-    return (",\n" + inner).join([row] * len(items)) % tuple(cells)
+    return (",\n" + inner).join([row] * len(items)) % tuple(pieces)
 
 
 def _certificate_json(cert: Certificate | None) -> dict | None:
@@ -331,9 +323,9 @@ def _cmd_certify(args: SimpleNamespace) -> Record:
     )
 
 
-def _each_part(template: str, bounds: tuple[int, ...]) -> str:
-    """``template % (lo, hi)`` for each part of flat ``bounds``, one line each, in one string."""
-    return "\n".join([template] * (len(bounds) // 2)) % bounds
+def _each_part(template: str, bounds: tuple[int, ...], sep: str = "\n") -> str:
+    """``template % (lo, hi)`` for each part of flat ``bounds``, joined by ``sep`` in one string."""
+    return sep.join([template] * (len(bounds) // 2)) % bounds
 
 
 def _decomposition(dec: GapDecomposition) -> Record:

@@ -163,7 +163,9 @@ class IntervalSet(Value):
         return bool(self.bounds)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntervalSet) and self.bounds == other.bounds
+        if isinstance(other, IntervalSet):
+            return self.bounds == other.bounds
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.bounds)

@@ -44,23 +44,28 @@ class DivisorClass(Value):
         _set_coeffs(self, coeffs)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        _match(self, other)
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combined(self, other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        _match(self, other)
-        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combined(self, other, -1)
 
     def __rmul__(self, k: int) -> "DivisorClass":
+        # a multiplier that is not an int gets TypeError, so every coefficient stays an exact int
+        if not isinstance(k, int):
+            return NotImplemented
         return DivisorClass(tuple(k * a for a in self.coeffs))
 
 
 (_set_coeffs,) = setters(DivisorClass)
 
 
-def _match(a: DivisorClass, b: DivisorClass) -> None:
+def _combined(a: DivisorClass, b: object, sign: int) -> DivisorClass:
+    """``a + sign * b`` coefficient by coefficient; NotImplemented if b is not a class."""
+    if not isinstance(b, DivisorClass):
+        return NotImplemented
     if len(a.coeffs) != len(b.coeffs):
         raise ValueError(f"rank mismatch: {len(a.coeffs)} vs {len(b.coeffs)}")
+    return DivisorClass(tuple(x + sign * y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 class PicardLattice(Value):

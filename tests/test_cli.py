@@ -753,25 +753,32 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _json(value: object, pad: str) -> str:
+    """``value`` at ``pad`` as ``cli._write`` writes it, its pieces joined."""
+    out: list[str] = []
+    cli._write(value, pad, out)
+    return "".join(out)
+
+
 class TestJsonEmitter:
-    """``cli._json`` writes what ``json.dumps(..., sort_keys=True, indent=2)`` writes."""
+    """``cli._write`` writes what ``json.dumps(..., sort_keys=True, indent=2)`` writes."""
 
     @settings(max_examples=300, deadline=None)
     @given(_JSON_VALUES)
     def test_matches_json_dumps(self, value):
-        assert cli._json(value, "") == json.dumps(value, sort_keys=True, indent=2)
+        assert _json(value, "") == json.dumps(value, sort_keys=True, indent=2)
 
     def test_pair_lists_with_a_stray_scalar_fall_back(self):
         for stray in (True, False, 1.5, None, "7"):
             value = {"proved": [[0, 6], [11, stray]], "empty": [[], []]}
-            assert cli._json(value, "") == json.dumps(value, sort_keys=True, indent=2)
+            assert _json(value, "") == json.dumps(value, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [
         [{}], [{}, {}], [{"a": 1}, {"b": 1}], [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1.5}],
         [{"a": [1]}], [{"a": 1}, {"a": True}], [{"%s": "%d", "\u00e9": None}], ({"a": "x"},),
     ])
     def test_flat_records(self, value):
-        assert cli._json(value, "") == json.dumps(value, sort_keys=True, indent=2)
+        assert _json(value, "") == json.dumps(value, sort_keys=True, indent=2)
 
     # the empty set, one-point parts, and bounds past 10**12 and 10**40
     @pytest.mark.parametrize("pad", ["", "  ", "      "])
@@ -782,19 +789,19 @@ class TestJsonEmitter:
     def test_interval_set_is_its_pair_list(self, pairs, pad):
         s = IntervalSet(Interval(lo, hi) for lo, hi in pairs)
         want = json.dumps(_pairs(s), sort_keys=True, indent=2).replace("\n", "\n" + pad)
-        assert cli._json(s, pad) == want
+        assert _json(s, pad) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10**13), st.integers(0, 3)), max_size=6))
     def test_drawn_interval_sets(self, spans):
         s = IntervalSet(Interval(lo, lo + width) for lo, width in spans)
         want = json.dumps({"certified": _pairs(s)}, sort_keys=True, indent=2)
-        assert cli._json({"certified": s}, "") == want
+        assert _json({"certified": s}, "") == want
 
     def test_interval_sets_nested_in_table_rows(self):
         payload = {"rows": [cli._decomposition(decompose(d)).fields() for d in (4, 5, 6, 9, 60)]}
         want = json.dumps(payload, default=_pairs, sort_keys=True, indent=2)
-        assert cli._json(payload, "") == want
+        assert _json(payload, "") == want
 
     def test_no_render_reaches_the_pure_python_encoder(self, capsys, monkeypatch):
         calls = []

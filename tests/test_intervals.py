@@ -9,6 +9,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +304,13 @@ class TestIntervalAgainstDataclass:
 
 class TestIntervalSetValue:
     """An ``IntervalSet``, alone or inside a ``GapDecomposition``, is immutable and pickles."""
+
+    def test_other_types_are_not_compared(self):
+        for s in (IntervalSet(), IntervalSet([Interval(1, 2)])):
+            for other in ((1, 2), [1, 2], 1, None, OracleInterval(1, 2)):
+                assert s.__eq__(other) is NotImplemented
+                assert s != other
+            assert s == mock.ANY
 
     @given(interval_sets)
     def test_immutable(self, s):

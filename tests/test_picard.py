@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -268,6 +269,17 @@ class TestIntersect:
 
     def test_add(self):
         assert DivisorClass((1, 2)) + DivisorClass((3, 4)) == DivisorClass((4, 6))
+
+    def test_arithmetic_stays_exact(self):
+        lat = builtin_lattice("k3_quartic")
+        h = lat.cls("H")
+        assert 3 * h - h == 2 * h == DivisorClass((2,))
+        assert intersect(lat, 2 * h, 2 * h) == 16
+        # a non-int multiplier or a non-class operand is a TypeError, not a float or a str
+        for op in (lambda: 1.5 * h, lambda: Fraction(1, 2) * h, lambda: "ab" * DivisorClass((1, 2)),
+                   lambda: h + 1, lambda: 1 + h, lambda: h - 1, lambda: h + (1,), lambda: h * 2):
+            with pytest.raises(TypeError):
+                op()
 
     @given(lattice_and_classes())
     def test_matches_nested_oracle(self, drawn):
