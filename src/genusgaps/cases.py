@@ -63,7 +63,7 @@ from operator import mul
 from os.path import dirname, join
 
 from ._value import Value, setters
-from .formulas import arithmetic_genus, clemens_min_genus, cut_system_dim
+from .formulas import _check_d, arithmetic_genus, clemens_min_genus, cut_system_dim
 from .gapmap import candidate_gap_interval
 from .picard import (
     BUILTINS,
@@ -455,7 +455,10 @@ def max_neg_canonical_degree(record: CaseRecord, d: int) -> int:
     parameters is swept as the one-point box: its one class d*base is a
     last parameter pinned at 0 that meets no pencil, so the same closed
     form admits it iff every room_j >= 0.
+
+    ``d`` is a surface degree, so one below 1 raises ``ValueError``.
     """
+    _check_d(d, 1)
     k_base, k_subs, _, sub_pencils = record.forms
     room = _room(record, d)
     ranges = []

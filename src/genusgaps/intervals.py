@@ -9,18 +9,18 @@ of integer bounds, ``bounds = (lo0, hi0, lo1, hi1, ...)``, which never
 decreases (a one-integer part repeats its value); the ``Interval`` parts
 are built from it on each read.
 
-Only the constructor sorts and merges, and ``union`` is the constructor
-over both sets' parts.  ``clip`` and ``complement_within`` build their
-bounds in order from an already separated set and keep them without
-re-normalizing: clipping shrinks the end parts, so the gaps between the
-survivors only widen, and the complement's parts are the gaps between
-consecutive parts, so a nonempty part lies between any two of them.
+Only the constructor sorts and merges, so the union of two sets is the
+constructor over both sets' parts, ``IntervalSet((*a, *b))``.  ``clip``
+and ``complement_within`` build their bounds in order from an already
+separated set and keep them without re-normalizing: clipping shrinks the
+end parts, so the gaps between the survivors only widen, and the
+complement's parts are the gaps between consecutive parts, so a nonempty
+part lies between any two of them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import total_ordering
 from itertools import cycle
 from operator import add, attrgetter
 
@@ -31,14 +31,13 @@ if TYPE_CHECKING:
     from typing import Iterable, Iterator
 
 
-@total_ordering
 class Interval(Value):
-    """Immutable closed integer interval [lo, hi], ordered by ``(lo, hi)``.
+    """Immutable closed integer interval [lo, hi].
 
-    A value type (see ``_value``) with the behaviour of a frozen, ordered
-    dataclass: equality, hash and order compare ``(lo, hi)`` with another
-    ``Interval`` only, so ``Interval(1, 2) != (1, 2)``, and
-    ``total_ordering`` derives ``<=``, ``>`` and ``>=`` from ``<`` and ``==``.
+    A value type (see ``_value``) with the behaviour of a frozen dataclass:
+    equality and hash compare ``(lo, hi)`` with another ``Interval`` only, so
+    ``Interval(1, 2) != (1, 2)``.  Intervals are not ordered: ``<`` raises
+    ``TypeError``.
     """
 
     __slots__ = __match_args__ = ("lo", "hi")
@@ -51,11 +50,6 @@ class Interval(Value):
             raise ValueError(f"empty interval [{lo}, {hi}]")
         _set_lo(self, lo)
         _set_hi(self, hi)
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.lo, self.hi) < (other.lo, other.hi)
-        return NotImplemented
 
     def __contains__(self, g: int) -> bool:
         return self.lo <= g <= self.hi
@@ -102,10 +96,6 @@ class IntervalSet(Value):
     def parts(self) -> tuple[Interval, ...]:
         b = self.bounds
         return tuple(map(Interval, b[0::2], b[1::2]))
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        """Union of the two sets: the constructor over both sets' parts."""
-        return IntervalSet((*self, *other))
 
     def complement_within(self, bound: Interval) -> "IntervalSet":
         """Integers of ``bound`` not in this set, as a normalized set.
@@ -177,7 +167,7 @@ class IntervalSet(Value):
 
 (_set_bounds,) = setters(IntervalSet)
 
-# each part's (lo, hi), read at C level, which sort in the class order
+# each part's (lo, hi), read at C level, so the parts sort by (lo, hi)
 _BOUNDS = attrgetter("lo", "hi")
 
 

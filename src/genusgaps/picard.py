@@ -31,23 +31,27 @@ from .formulas import _check_genus
 
 # the default of ``PicardLattice.named``, replaced by a new dict in each lattice
 _FRESH_DICT: dict = {}
+# the one type a class's coefficients may have: bool, an int subclass, is refused
+_INT = frozenset((int,))
 
 
 class DivisorClass(Value):
-    """Integer coefficient vector in a lattice basis."""
+    """Integer coefficient vector in a lattice basis.
+
+    The coefficients must be a tuple of exact ``int``s, so every
+    intersection number stays exact and the class is hashable; anything
+    else, a ``bool`` included, raises ``TypeError``.  A class scales by an
+    ``int`` (``k * c``), and by nothing else.
+    """
 
     __slots__ = __match_args__ = ("coeffs",)
 
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if coeffs.__class__ is not tuple or not _INT.issuperset(map(type, coeffs)):
+            raise TypeError(f"coefficients must be a tuple of int, got {coeffs!r}")
         _set_coeffs(self, coeffs)
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return _combined(self, other, 1)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return _combined(self, other, -1)
 
     def __rmul__(self, k: int) -> "DivisorClass":
         # a multiplier that is not an int gets TypeError, so every coefficient stays an exact int
@@ -57,15 +61,6 @@ class DivisorClass(Value):
 
 
 (_set_coeffs,) = setters(DivisorClass)
-
-
-def _combined(a: DivisorClass, b: object, sign: int) -> DivisorClass:
-    """``a + sign * b`` coefficient by coefficient; NotImplemented if b is not a class."""
-    if not isinstance(b, DivisorClass):
-        return NotImplemented
-    if len(a.coeffs) != len(b.coeffs):
-        raise ValueError(f"rank mismatch: {len(a.coeffs)} vs {len(b.coeffs)}")
-    return DivisorClass(tuple(x + sign * y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 class PicardLattice(Value):
@@ -136,7 +131,7 @@ class PicardLattice(Value):
             return self.named[label]
         if label in self.basis:
             i = self.basis.index(label)
-            return DivisorClass(tuple(int(i == j) for j in range(self.rank)))
+            return DivisorClass((0,) * i + (1,) + (0,) * (self.rank - i - 1))
         raise KeyError(f"{self.name}: no class named {label!r}")
 
 

@@ -679,7 +679,8 @@ def oracle_max_neg_kappa(record: CaseRecord, d: int, box: int) -> int:
 
 
 # The sweep as it stood before the linear-form rewrite, kept verbatim (bar the
-# name of the entry point) as the differential oracle: it builds one
+# name of the entry point, and the class subtraction, written out here as the
+# library no longer adds classes) as the differential oracle: it builds one
 # DivisorClass per box point and intersects it through the Gram matrix.
 
 
@@ -689,7 +690,8 @@ def gamma_class(
     """Instantiated curve class d*base - sum(values[i] * record.params[i].cls)."""
     cls = d * lat.cls(record.base)
     for p, value in zip(record.params, values, strict=True):
-        cls = cls - value * lat.cls(p.cls)
+        sub = value * lat.cls(p.cls)
+        cls = DivisorClass(tuple(x - y for x, y in zip(cls.coeffs, sub.coeffs, strict=True)))
     return cls
 
 
@@ -761,6 +763,13 @@ class TestMaxNegKappa:
     def test_ruled_b_both_configurations(self):
         assert max_neg_canonical_degree(by_id("quartic-elliptic-ruled-b-two"), 6) == 20
         assert max_neg_canonical_degree(by_id("quartic-elliptic-ruled-b-one"), 6) == 20
+
+    def test_rejects_a_degree_below_one(self):
+        # no surface has such a degree, so there is no -kappa to sweep
+        for d in (-5, 0):
+            with pytest.raises(ValueError, match=f"^surface degree must be >= 1, got {d}$"):
+                max_neg_canonical_degree(by_id("cubic-i"), d)
+        assert max_neg_canonical_degree(by_id("cubic-i"), 1) == 3
 
     @pytest.mark.parametrize("case_id", QUARTIC_IDS)
     def test_against_independent_sweep(self, case_id):

@@ -1013,15 +1013,17 @@ def test_plain_argv_imports_no_argparse():
 
 
 def test_plain_status_imports_only_what_it_needs():
-    """Nor typing, json, re, enum, pathlib or importlib.resources, seen without ``site``.
+    """Nor typing, json, re, enum, pathlib, importlib.resources or functools, seen without ``site``.
 
     ``-S`` keeps the site's ``.pth`` files from loading them before the query.
+    ``functools`` would bring ``collections``, ``keyword`` and ``reprlib``.
     ``verify all`` needs ``json`` for the case table, which it reads through
     the package's loader, so it loads neither ``importlib.resources`` nor
     ``pathlib`` nor what they import.
     """
     unneeded = {
-        ("status", "6", "13"): {"typing", "json", "re", "enum", "pathlib", "importlib.resources"},
+        ("status", "6", "13"): {"typing", "json", "re", "enum", "pathlib", "importlib.resources",
+                                "functools", "collections", "keyword", "reprlib"},
         ("verify", "all"): {"importlib.resources", "pathlib", "tempfile", "shutil", "typing",
                             "zipfile"},
     }
