@@ -15,9 +15,9 @@ builds and renders only the requested one, then writes stdout once.
 ``_render`` builds the answer as one list of pieces and joins it once,
 with its final newline, so the join is the one output-sized copy.  A
 ``decompose`` or ``table`` answer, whose pieces are few and long, peaks at
-about twice its output.  A ``verify`` answer is some hundreds of short
-pieces, each a ``str`` with its own object header, so it peaks higher:
-``verify all`` at about 2.9 times its output in table and CSV, and 4.5
+about twice its output.  A ``verify`` answer is built from some hundreds
+of short strings, each with its own object header, so it peaks higher:
+``verify all`` at about 2.9 times its output in table and CSV, and 3.2
 times in JSON.
 
 ``COMMANDS`` declares every subcommand once: its help, its runner and
@@ -42,11 +42,11 @@ Python 3.10 to 3.12, ``json.dumps`` with ``indent`` set runs its
 pure-Python encoder, which cost more than building the record for a large
 decomposition; from 3.13 on it runs the C encoder there too.  ``_write``
 appends a value's pieces to the answer's list in order, so no piece copies
-another.  Two shapes are written through one %-template for all their
+another.  Two values are written through one %-template for all their
 items, as one piece: an ``IntervalSet`` (the parts of a decomposition), as
-the list of its ``[lo, hi]`` pairs, and a list of dicts that share one
-non-empty key set and hold only str, int, bool or None (the checks of a
-verify report).  Any other list is written item by item.
+the list of its ``[lo, hi]`` pairs, and a ``cases.VerificationReport``, as
+the list of its checks' ``{"detail", "id", "ok"}`` dicts.  Every list is
+written item by item.
 """
 
 from __future__ import annotations
@@ -121,10 +121,6 @@ class Record(Value):
 _set_fields, _set_header, _set_rows, _set_lines, _set_code = setters(Record)
 
 
-def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -165,7 +161,7 @@ def _render(args: SimpleNamespace, record: Record) -> str:
 
     The join is the only copy of the whole answer, so a ``decompose`` or
     ``table`` render peaks at about twice its output, and a ``verify``
-    render, of short pieces, at 3 to 4.5 times (module docstring).
+    render, of short strings, at 2.9 to 3.2 times (module docstring).
     """
     if args.format == "json":
         out: list[str] = []
@@ -195,10 +191,11 @@ def _write(value: object, pad: str, out: list[str]) -> None:
     through ``int.__repr__``, and any other scalar through ``json.dumps``.
     A container appends its brackets, separators and keys, and each of its
     values in turn, so no piece holds a copy of another.  An ``IntervalSet``
-    body, all its ``[lo, hi]`` pairs through one %-template over its flat
-    bounds (``_each_part``), is one piece, and so is the body of a list of
-    flat dict rows of one shape (``_templated``); any other list goes item
-    by item.
+    is the list of its ``[lo, hi]`` pairs, whose body is one %-template over
+    its flat bounds (``_each_part``); a ``cases.VerificationReport`` is the
+    list of its checks as ``{"detail", "id", "ok"}`` dicts, whose body is one
+    row template over the escaped cells of every check.  Each is one piece.
+    A list or tuple goes item by item.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -210,6 +207,21 @@ def _write(value: object, pad: str, out: list[str]) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    elif isinstance(value, case_mod.VerificationReport):
+        # its checks, as the list of their {"detail", "id", "ok"} dicts: one row
+        # template repeated over the cells of every check, as one piece; the
+        # cells' list is dropped once their tuple is built, before the %
+        cells = tuple([text for c in value.checks for text in (
+            encode_basestring_ascii(c.detail), encode_basestring_ascii(c.check_id),
+            "true" if c.ok else "false")])
+        if not cells:
+            out.append("[]")
+            return
+        inner, cell = pad + "  ", pad + "    "
+        row = ("{\n" + cell + '"detail": %s,\n' + cell + '"id": %s,\n' + cell + '"ok": %s\n'
+               + inner + "}")
+        out += ("[\n" + inner, (",\n" + inner).join([row] * len(value.checks)) % cells,
+                "\n" + pad + "]")
     elif not isinstance(value, (dict, list, tuple, IntervalSet)):
         import json  # only for a scalar no record holds, such as a float
         out.append(json.dumps(value))
@@ -229,47 +241,14 @@ def _write(value: object, pad: str, out: list[str]) -> None:
         if isinstance(value, IntervalSet):
             cell = inner + "  "
             pair = "[\n" + cell + "%d,\n" + cell + "%d\n" + inner + "]"
-            body = _each_part(pair, value.bounds, sep)
+            out += ("[\n" + inner, _each_part(pair, value.bounds, sep))
         else:
-            body = _templated(value, inner)
-        if body is None:
             lead = "[\n" + inner
             for item in value:
                 out.append(lead)
                 _write(item, inner, out)
                 lead = sep
-        else:
-            out += ("[\n" + inner, body)
         out.append("\n" + pad + "]")
-
-
-_FLAT = {str, int, bool, type(None)}  # the exact types a templated dict row may hold
-
-
-def _templated(items: list | tuple, inner: str) -> str | None:
-    """The dict rows of a non-empty list at ``inner``, written by one %-template, or None.
-
-    The rows must share one non-empty key set and hold only the scalars the
-    module docstring names, each value written by ``_write`` into one list.
-    Types are checked exactly first, so an item that is not a dict, a float
-    or nested value, or an item or value of a subclass gets None.
-    """
-    if set(map(type, items)) != {dict} or len(key_sets := set(map(frozenset, items))) != 1:
-        return None
-    keys = sorted(key_sets.pop())
-    cells = [item[key] for item in items for key in keys]
-    if not keys or not set(map(type, cells)) <= _FLAT:
-        return None
-    pieces: list[str] = []
-    for v in cells:
-        _write(v, "", pieces)
-    del cells  # dropped before the template is built: not alive during the %
-    cell = inner + "  "
-    # a key is written into the template, so its % signs are doubled
-    row = "{\n" + cell + (",\n" + cell).join(
-        [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
-    ) + "\n" + inner + "}"
-    return (",\n" + inner).join([row] * len(items)) % tuple(pieces)
 
 
 def _certificate_json(cert: Certificate | None) -> dict | None:
@@ -459,11 +438,7 @@ def _cmd_verify(args: SimpleNamespace) -> Record:
         return out
 
     return Record(
-        fields=lambda: {
-            "scope": args.scope,
-            "ok": report.ok,
-            "checks": [{"id": c.check_id, "ok": c.ok, "detail": c.detail} for c in checks],
-        },
+        fields=lambda: {"scope": args.scope, "ok": report.ok, "checks": report},
         header=["check_id", "ok", "detail"],
         rows=lambda: [
             _csv_row([c.check_id, "pass" if c.ok else "FAIL", c.detail]) for c in checks

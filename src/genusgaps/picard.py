@@ -54,8 +54,9 @@ class DivisorClass(Value):
         _set_coeffs(self, coeffs)
 
     def __rmul__(self, k: int) -> "DivisorClass":
-        # a multiplier that is not an int gets TypeError, so every coefficient stays an exact int
-        if not isinstance(k, int):
+        # a multiplier that is not exactly an int (a bool included) gets TypeError,
+        # so every coefficient stays an exact int, as the constructor requires
+        if type(k) is not int:
             return NotImplemented
         return DivisorClass(tuple(k * a for a in self.coeffs))
 

@@ -276,8 +276,11 @@ class TestIntersect:
         h = lat.cls("H")
         assert 2 * h == DivisorClass((2,)) and -3 * h == DivisorClass((-3,))
         assert intersect(lat, 2 * h, 2 * h) == 16
-        # a non-int multiplier is a TypeError, not a float or a str, and classes do not add
+        # a multiplier that is not exactly an int is a TypeError, not a float or a str,
+        # and a bool is refused as the constructor refuses a bool coefficient;
+        # classes do not add
         for op in (lambda: 1.5 * h, lambda: Fraction(1, 2) * h, lambda: "ab" * DivisorClass((1, 2)),
+                   lambda: True * h, lambda: False * h,
                    lambda: h + 1, lambda: 1 + h, lambda: h - 1, lambda: h + (1,), lambda: h * 2,
                    lambda: h + h, lambda: h - h):
             with pytest.raises(TypeError):
