@@ -68,10 +68,11 @@ from .gapmap import candidate_gap_interval
 from .picard import (
     BUILTINS,
     PicardLattice,
+    _gram_row,
     adjunction_genus,
     builtin_lattice,
+    canonical_degree,
     family_dim_bound,
-    intersect,
 )
 
 TYPE_CHECKING = False
@@ -197,7 +198,8 @@ class CaseRecord(Value):
         try:
             forms = _linear_forms(self, builtin_lattice(self.lattice))
         except KeyError as exc:
-            raise CaseDataError(f"{self.id}: {exc}") from exc
+            # a KeyError's str is its repr, so its message is read from args
+            raise CaseDataError(f"{self.id}: {exc.args[0]}") from exc
         _set_forms(self, forms)
         _, k_subs, _, sub_pencils = forms
         for c in self.constraints:
@@ -399,20 +401,18 @@ def _linear_forms(
     first, then the parameters and the pencils, so an unknown one raises
     its ``KeyError``.  Every product has K or a pencil on one side, so each
     is one dot product of that side's Gram row with the other side's
-    coefficients: K's row is kept on the lattice, and each pencil's row is
-    built here, once per record.
+    coefficients: each K product is a ``canonical_degree``, which reads the
+    row the lattice keeps, and each pencil's row comes from
+    ``picard._gram_row``, once per record.
     """
-    base = lat.cls(record.base).coeffs
-    subs = [lat.cls(p.cls).coeffs for p in record.params]
-    pencils = [lat.cls(c.cls).coeffs for c in record.constraints]
-    # the Gram matrix is symmetric, so entry i of a pencil's row is gram[i] . pencil
-    rows = [[sum(map(mul, g, pencil)) for g in lat.gram] for pencil in pencils]
-    k = lat.canonical_row
+    base = lat.cls(record.base)
+    subs = [lat.cls(p.cls) for p in record.params]
+    rows = [_gram_row(lat, lat.cls(c.cls).coeffs) for c in record.constraints]
     return (
-        sum(map(mul, k, base)),
-        tuple([sum(map(mul, k, sub)) for sub in subs]),
-        tuple([sum(map(mul, row, base)) for row in rows]),
-        tuple([tuple([sum(map(mul, row, sub)) for row in rows]) for sub in subs]),
+        canonical_degree(lat, base),
+        tuple([canonical_degree(lat, sub) for sub in subs]),
+        tuple([sum(map(mul, row, base.coeffs)) for row in rows]),
+        tuple([tuple([sum(map(mul, row, sub.coeffs)) for row in rows]) for sub in subs]),
     )
 
 
@@ -511,22 +511,26 @@ def _eliminations(
     """Every family's dimension count against every restricted triple, in report order.
 
     ``records`` come in report order, as ``_by_id`` gives them, and
-    ``swept`` is the calling ``verify_*``'s memo of ``_swept``.  -kappa and
-    the bound it is counted against do not depend on g, so each (record, d)
-    run reads them once and serves all its genera.
+    ``swept`` is the calling ``verify_*``'s memo of ``_swept``.  The
+    restricted triples are grouped into their (d, n) runs, each with its
+    ``cut_system_dim(n, d)``, once per report.  -kappa and the bound it is
+    counted against do not depend on g, so each (record, d) run reads them
+    once and serves all its genera.
     """
-    triples = restricted_triples()
+    # triples are sorted by (d, n, g), so each (d, n) pair's genera come in one run
+    runs = [(d, n, cut_system_dim(n, d), [g for _, _, g in run])
+            for (d, n), run in itertools.groupby(restricted_triples(), key=lambda t: t[:2])]
     checks = []
     for record in records:
-        case_id, n, family_dim = record.id, record.n, record.family_dim
+        case_id, family_dim = record.id, record.family_dim
         direct = record.mode == "direct-dim"
         tag = " (delegated)" if record.delegated else ""
-        # triples are sorted by d, so each degree's genera come in one run
-        ours = (t for t in triples if t[1] == n)
-        for d, run in itertools.groupby(ours, key=lambda t: t[0]):
+        for d, n, cut, genera in runs:
+            if n != record.n:
+                continue
             neg_kappa = _swept(record, d, swept)
-            rhs = record.threshold if direct else cut_system_dim(n, d)
-            for _, _, g in run:
+            rhs = record.threshold if direct else cut
+            for g in genera:
                 if direct:
                     lhs, body = family_dim, f"family_dim {family_dim}"
                 else:
@@ -566,7 +570,7 @@ def _kappa_checks(
 def _lattice_checks() -> list[CheckResult]:
     checks = []
     for lat in sorted(BUILTINS, key=lambda lat: lat.name):
-        k2 = intersect(lat, lat.canonical, lat.canonical)
+        k2 = canonical_degree(lat, lat.canonical)
         checks.append(CheckResult(f"lattice/{lat.name}/K2", k2 == lat.k2,
                                   f"K.K = {k2}, documented {lat.k2}"))
     # adjunction ties the lattice models back to the closed-form genus.  As

@@ -69,9 +69,10 @@ class PicardLattice(Value):
 
     Unhashable, as ``named`` is a dict; each lattice gets a fresh one by
     default.  The constructor also keeps the Gram row of K
-    (``canonical_row``), which holds K's products K . e_j with the basis
-    vectors, so K . b is one dot product of that row with b's
-    coefficients.  It takes no part in ``==``, ``hash`` or ``repr``.
+    (``canonical_row``), built by ``_gram_row``, which holds K's products
+    K . e_j with the basis vectors, so K . b is one dot product of that row
+    with b's coefficients, and ``canonical_degree`` reads it.  It takes no
+    part in ``==``, ``hash`` or ``repr``.
     """
 
     __match_args__ = (
@@ -118,9 +119,7 @@ class PicardLattice(Value):
         for label, cls in {**self.named, "K": self.canonical}.items():
             if len(cls.coeffs) != r:
                 raise ValueError(f"{self.name}: class {label} has wrong rank")
-        # the Gram matrix is symmetric, so entry j of K's row is gram[j] . K
-        k = self.canonical.coeffs
-        _set_canonical_row(self, tuple([sum(map(mul, g, k)) for g in self.gram]))
+        _set_canonical_row(self, _gram_row(self, self.canonical.coeffs))
 
     @property
     def rank(self) -> int:
@@ -140,20 +139,39 @@ class PicardLattice(Value):
  _set_degree, _set_canonical_row) = setters(PicardLattice)
 
 
+def _gram_row(lat: PicardLattice, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The products c . e_j of the class with these coefficients and the basis vectors.
+
+    The one place a Gram row is computed.  The Gram matrix is symmetric, so
+    entry j is the dot product of Gram row j with the coefficients.
+    """
+    return tuple([sum(map(mul, g, coeffs)) for g in lat.gram])
+
+
+def _coeffs(lat: PicardLattice, c: DivisorClass) -> tuple[int, ...]:
+    """c's coefficients, once they are checked to have the lattice's rank."""
+    if len(c.coeffs) != lat.rank:
+        raise ValueError(f"{lat.name}: class rank does not match lattice rank {lat.rank}")
+    return c.coeffs
+
+
 def intersect(lat: PicardLattice, a: DivisorClass, b: DivisorClass) -> int:
     """Intersection number a . b, evaluated exactly through the Gram matrix.
 
-    A row-by-row dot product: each nonzero a_i scales the dot product of
-    Gram row i with b, all in exact integers.
+    a's coefficients dotted with b's Gram row (``_gram_row``), all in exact
+    integers.  A product with K reads K's kept row instead, through
+    ``canonical_degree``.
     """
-    if len(a.coeffs) != lat.rank or len(b.coeffs) != lat.rank:
-        raise ValueError(f"{lat.name}: class rank does not match lattice rank {lat.rank}")
-    return sum(ai * sum(map(mul, row, b.coeffs)) for ai, row in zip(a.coeffs, lat.gram) if ai)
+    return sum(map(mul, _coeffs(lat, a), _gram_row(lat, _coeffs(lat, b))))
 
 
 def canonical_degree(lat: PicardLattice, gamma: DivisorClass) -> int:
-    """Degree of the canonical class on gamma (K . gamma)."""
-    return intersect(lat, lat.canonical, gamma)
+    """Degree of the canonical class on gamma (K . gamma), read off the kept K row.
+
+    One dot product of ``lat.canonical_row`` with gamma's coefficients; a
+    class of the wrong rank raises ``ValueError``, as ``intersect`` does.
+    """
+    return sum(map(mul, lat.canonical_row, _coeffs(lat, gamma)))
 
 
 def family_dim_bound(g: int, canonical_deg: int) -> int:

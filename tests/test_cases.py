@@ -383,18 +383,21 @@ class TestCaseTable:
         path.write_text(json.dumps(doc))
         return path
 
+    # the lookup's own message follows the record id once, with no quotes of
+    # a KeyError's repr around it
     def test_unknown_lattice_rejected(self, tmp_path):
         def mutate(doc):
             doc["cases"][0]["lattice"] = "nonexistent"
 
-        with pytest.raises(CaseDataError):
+        with pytest.raises(CaseDataError, match="^cubic-i: unknown lattice 'nonexistent'$"):
             load_cases(self._patched(tmp_path, mutate))
 
     def test_unknown_class_rejected(self, tmp_path):
         def mutate(doc):
             doc["cases"][0]["constraints"] = [{"cls": "Zeta", "min": 0}]
 
-        with pytest.raises(CaseDataError):
+        with pytest.raises(CaseDataError,
+                           match=r"^cubic-i: blowup_plane\(6\): no class named 'Zeta'$"):
             load_cases(self._patched(tmp_path, mutate))
 
     def test_hilbert_consistency_enforced(self, tmp_path):
@@ -1294,7 +1297,8 @@ class TestVerify:
         assert len(swept) == len(set(swept)) == 8 + 16
 
     def test_verify_all_work_counts(self, monkeypatch):
-        counts = {"max_neg_canonical_degree": 0, "intersect": 0, "adjunction_genus": 0}
+        counts = {"max_neg_canonical_degree": 0, "canonical_degree": 0, "adjunction_genus": 0,
+                  "cut_system_dim": 0}
 
         def counted(name):
             real = getattr(case_mod, name)
@@ -1313,12 +1317,15 @@ class TestVerify:
         # families are audited at d = 6 only.  The elimination makes all 24,
         # and the audit finds them swept
         assert counts["max_neg_canonical_degree"] == 8 + 16
-        # intersect only audits the lattices' K.K: the 24 records read their
-        # forms from K's kept row and their pencils' rows, and the 144 sweeps read
-        # the forms kept on the records; the 11 lattices with a surface degree
+        # every K product cases asks for goes through canonical_degree: K . base
+        # for each of the 24 records, K . sub for each of their 21 parameters,
+        # and the audit's K.K for each of the 21 lattices; the sweeps read the
+        # forms kept on the records.  The 11 lattices with a surface degree
         # are audited by adjunction at d = 1 and d = 2
-        assert counts["intersect"] == 21
+        assert counts["canonical_degree"] == 24 + 21 + 21
         assert counts["adjunction_genus"] == 2 * 11
+        # the 13 restricted triples fall into 4 (d, n) runs, each read once per report
+        assert counts["cut_system_dim"] == 4
         points = 0
 
         def product(*ranges):

@@ -303,6 +303,8 @@ class TestIntersect:
         lat, a, b = drawn
         assert intersect(lat, a, b) == nested_intersect(lat, a, b)
         assert intersect(lat, b, a) == intersect(lat, a, b)
+        # K . b is read off the kept K row, not through intersect
+        assert canonical_degree(lat, b) == nested_intersect(lat, lat.canonical, b)
 
     @given(lattice_and_classes(rank_shift=-1) | lattice_and_classes(rank_shift=1))
     def test_rank_mismatch_on_either_side(self, drawn):
@@ -312,6 +314,9 @@ class TestIntersect:
                 nested_intersect(lat, x, y)
             with pytest.raises(ValueError, match="does not match lattice rank"):
                 intersect(lat, x, y)
+        # b has the wrong rank; K . b reads the kept row and checks it all the same
+        with pytest.raises(ValueError, match="does not match lattice rank"):
+            canonical_degree(lat, b)
 
 
 class TestLatticeShape:

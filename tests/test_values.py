@@ -172,7 +172,7 @@ class CaseRecord:
         try:
             forms = linear_forms_by_intersect(self, builtin_lattice(self.lattice))
         except KeyError as exc:
-            raise CaseDataError(f"{self.id}: {exc}") from exc
+            raise CaseDataError(f"{self.id}: {exc.args[0]}") from exc
         object.__setattr__(self, "forms", forms)
         _, k_subs, _, sub_pencils = forms
         for c in self.constraints:
