@@ -12,9 +12,11 @@ only reader is ``contiguity_holds(d, 1)`` through ``arithmetic_genus(d, 0)``;
 callers interested in actual curves pass ``n >= 1``.
 
 ``_check_d``, ``_check_cut`` and ``_check_genus`` are the one home of the
-shared argument rules: a surface degree, cutting degree or genus below its
-least value raises ``ValueError`` with the one message written there,
-whichever of ``formulas``, ``gapmap``, ``picard`` or ``cli`` checks it.
+shared argument rules: a surface degree, cutting degree or genus whose type
+is not exactly ``int`` (a ``bool`` included) raises ``TypeError``, and one
+below its least value raises ``ValueError``, each with the one message
+written in ``_refusal``, whichever of ``formulas``, ``gapmap``, ``picard`` or
+``cli`` checks it.
 """
 
 from __future__ import annotations
@@ -22,19 +24,25 @@ from __future__ import annotations
 from math import comb
 
 
+def _refusal(what: str, x: object, minimum: int) -> TypeError | ValueError:
+    if type(x) is not int:
+        return TypeError(f"{what} must be an int, got {x!r}")
+    return ValueError(f"{what} must be >= {minimum}, got {x}")
+
+
 def _check_d(d: int, minimum: int) -> None:
-    if d < minimum:
-        raise ValueError(f"surface degree must be >= {minimum}, got {d}")
+    if type(d) is not int or d < minimum:
+        raise _refusal("surface degree", d, minimum)
 
 
 def _check_cut(n: int, minimum: int) -> None:
-    if n < minimum:
-        raise ValueError(f"cutting degree must be >= {minimum}, got {n}")
+    if type(n) is not int or n < minimum:
+        raise _refusal("cutting degree", n, minimum)
 
 
 def _check_genus(g: int) -> None:
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
+    if type(g) is not int or g < 0:
+        raise _refusal("genus", g, 0)
 
 
 def ambient_dim(d: int) -> int:

@@ -13,7 +13,9 @@ non-normal scrolls, the Segre symmetroid, projected quartics).  Each one
 records only Gram data, never the surface itself, and every downstream
 number is recomputed from the Gram matrix.  Thirteen follow from a family
 rule: nine ruled surfaces (``_ruled``) and four blown-up planes
-(``_plane``); the other eight write their Gram matrix and K out in full.
+(``_plane``).  A rule reads only the family's parameters and returns a
+basis, Gram matrix and K; the other eight write those out in full, and
+``_lat`` builds every lattice from them.
 
 ``BUILTINS`` is the one registry of the 21 built-in lattices, built once at
 import; ``builtin_lattice`` looks a name up there and nothing else.  Each
@@ -33,6 +35,8 @@ from .formulas import _check_genus
 _FRESH_DICT: dict = {}
 # the one type a class's coefficients may have: bool, an int subclass, is refused
 _INT = frozenset((int,))
+# what a family rule returns: the basis labels, the Gram matrix and K's coefficients
+_Rule = tuple[tuple[str, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
 class DivisorClass(Value):
@@ -210,39 +214,31 @@ def _lat(
     )
 
 
-def _ruled(
-    name: str, q: int, e: int, section: str, named: dict[str, tuple[int, ...]],
-    description: str, k2: int, degree: int | None = None,
-) -> PicardLattice:
+def _ruled(q: int, e: int, section: str) -> _Rule:
     # ruled over a genus-q curve: C^2 = -e, C.F = 1, F^2 = 0, K = -2C + (2q - 2 - e)F
-    gram = ((-e, 1), (1, 0))
-    return _lat(name, (section, "F"), gram, (-2, 2 * q - 2 - e), named, description, k2, degree)
+    return (section, "F"), ((-e, 1), (1, 0)), (-2, 2 * q - 2 - e)
 
 
 def _hirzebruch(e: int, named: dict[str, tuple[int, ...]]) -> PicardLattice:
-    return _ruled(
-        f"hirzebruch({e})", 0, e, "E", named,
+    return _lat(
+        f"hirzebruch({e})", *_ruled(0, e, "E"), named,
         f"ruled surface over P^1 with a section of self-intersection -{e}; "
         "H is the hyperplane class of the projective model used by the case table", k2=8,
     )
 
 
-def _plane(
-    name: str, r: int, named: dict[str, tuple[int, ...]], description: str, k2: int,
-    degree: int | None = None,
-) -> PicardLattice:
+def _plane(r: int) -> _Rule:
     # P^2 blown up at r points: Gram diag(1, -1, ..., -1), K = -3L + E1 + ... + Er
-    basis = ("L",) + tuple(f"E{i}" for i in range(1, r + 1))
     diag = (1,) + (-1,) * r
     gram = tuple(tuple(v * (i == j) for j in range(r + 1)) for i, v in enumerate(diag))
-    return _lat(name, basis, gram, (-3,) + (1,) * r, named, description, k2, degree)
+    return ("L",) + tuple(f"E{i}" for i in range(1, r + 1)), gram, (-3,) + (1,) * r
 
 
 def _blowup_plane(
     r: int, named: dict[str, tuple[int, ...]], k2: int, degree: int | None = None
 ) -> PicardLattice:
     description = f"plane blown up at {r} points (total-transform exceptional basis)"
-    return _plane(f"blowup_plane({r})", r, named, description, k2, degree)
+    return _lat(f"blowup_plane({r})", *_plane(r), named, description, k2, degree)
 
 
 # Every built-in lattice, in declaration order.  The adjunction audit walks
@@ -252,14 +248,14 @@ BUILTINS: tuple[PicardLattice, ...] = (
     _hirzebruch(1, {"H": (1, 2)}),
     _hirzebruch(2, {"H": (1, 3), "D": (1, 2)}),
     _hirzebruch(3, {"H": (1, 3)}),
-    _ruled(
-        "elliptic_cone", 1, 3, "E", {"H": (1, 3)},
+    _lat(
+        "elliptic_cone", *_ruled(1, 3, "E"), {"H": (1, 3)},
         "minimal desingularization of the cone over a smooth plane cubic: "
         "ruled over an elliptic curve, E the (-3)-section over the vertex, H = E + 3F",
         k2=0, degree=3,
     ),
-    _ruled(
-        "quartic_cone", 3, 4, "E0", {"H": (1, 4), "E": (2, 0)},
+    _lat(
+        "quartic_cone", *_ruled(3, 4, "E0"), {"H": (1, 4), "E": (2, 0)},
         "cone over a smooth plane quartic: E0 the (-4)-section over the vertex, "
         "anticanonical E = 2E0, H = E0 + 4F",
         k2=-16, degree=4,
@@ -389,26 +385,26 @@ BUILTINS: tuple[PicardLattice, ...] = (
         "point of genus 2; anticanonical E = 2*Xi + Delta1",
         k2=-2, degree=4,
     ),
-    _ruled(
-        "genus2_scroll", 2, 4, "E", {"H": (1, 4), "E": (1, 0)},
+    _lat(
+        "genus2_scroll", *_ruled(2, 4, "E"), {"H": (1, 4), "E": (1, 0)},
         "non-normal quartic scroll over a genus-2 curve (cone over a singular "
         "plane quartic): H = E + 4F", k2=-8,
     ),
-    _ruled(
-        "elliptic_scroll_a", 1, 0, "D1", {"H": (1, 2), "D1": (1, 0)},
+    _lat(
+        "elliptic_scroll_a", *_ruled(1, 0, "D1"), {"H": (1, 2), "D1": (1, 0)},
         "non-normal elliptic scroll with two skew double lines (split bundle)", k2=0,
     ),
-    _ruled(
-        "elliptic_scroll_b", 1, 0, "D1", {"H": (1, 2), "D1": (1, 0)},
+    _lat(
+        "elliptic_scroll_b", *_ruled(1, 0, "D1"), {"H": (1, 2), "D1": (1, 0)},
         "non-normal elliptic scroll with a single double line (non-split bundle); "
         "numerically identical to the split model", k2=0,
     ),
-    _plane(
-        "veronese", 0, {"H": (2,)},
+    _lat(
+        "veronese", *_plane(0), {"H": (2,)},
         "Veronese plane projected to P^3 (Steiner's Roman surface): H = 2L", k2=9,
     ),
-    _plane(
-        "segre", 5, {"H": (3, -1, -1, -1, -1, -1)},
+    _lat(
+        "segre", *_plane(5), {"H": (3, -1, -1, -1, -1, -1)},
         "Segre quartic symmetroid: projection of a degree-4 weak del Pezzo "
         "surface, H = -K", k2=4,
     ),

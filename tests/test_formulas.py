@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,15 @@ from genusgaps.formulas import (
     cut_system_dim,
     linsys_dim,
 )
-from genusgaps.gapmap import status
+from genusgaps.gapmap import (
+    certify_nongap,
+    coarse_horizon,
+    decompose,
+    initial_gap_interval,
+    realizable_interval,
+    second_gap_interval,
+    status,
+)
 from genusgaps.picard import family_dim_bound
 
 
@@ -93,6 +103,36 @@ class TestLinsysDim:
 )
 def test_rejects_degree_out_of_range(fn, args, match):
     with pytest.raises(ValueError, match=f"^{match}$"):
+        fn(*args)
+
+
+# a degree or genus whose type is not exactly int, a bool included, is refused
+# with the checker's own message, never computed with or failed on inside math
+NOT_AN_INT = [
+    (status, (6, 13.5), "genus must be an int, got 13.5"),
+    (status, (6, Fraction(27, 2)), "genus must be an int, got Fraction(27, 2)"),
+    (status, (6.0, 13), "surface degree must be an int, got 6.0"),
+    (second_gap_interval, (7.5,), "surface degree must be an int, got 7.5"),
+    (initial_gap_interval, (7.0,), "surface degree must be an int, got 7.0"),
+    (arithmetic_genus, (5.5, 2), "surface degree must be an int, got 5.5"),
+    (clemens_min_genus, (6, 1.5), "cutting degree must be an int, got 1.5"),
+    (coarse_horizon, (7.5,), "surface degree must be an int, got 7.5"),
+    (family_dim_bound, (3.5, 2), "genus must be an int, got 3.5"),
+    (contiguity_holds, (6.5, 2), "surface degree must be an int, got 6.5"),
+    (linsys_dim, (5, 2.0), "cutting degree must be an int, got 2.0"),
+    (linsys_dim, (5, True), "cutting degree must be an int, got True"),
+    (realizable_interval, (6, 1.5), "cutting degree must be an int, got 1.5"),
+    (certify_nongap, (6, 30.5), "genus must be an int, got 30.5"),
+    (decompose, (7.0,), "surface degree must be an int, got 7.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args,message", NOT_AN_INT,
+    ids=[f"{fn.__name__}-{'-'.join(map(str, args))}" for fn, args, _ in NOT_AN_INT],
+)
+def test_rejects_a_degree_or_genus_that_is_not_an_int(fn, args, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         fn(*args)
 
 

@@ -14,6 +14,8 @@ from genusgaps.picard import (
     BUILTINS,
     DivisorClass,
     PicardLattice,
+    _plane,
+    _ruled,
     adjunction_genus,
     builtin_lattice,
     canonical_degree,
@@ -245,6 +247,32 @@ class TestBuiltins:
             builtin_lattice("blowup_plane(7)")
         with pytest.raises(KeyError):
             builtin_lattice("blowup_plane(1)")
+
+
+def rule_k2(rule: tuple) -> int:
+    """K.K from a family rule's own Gram matrix, after checking its shape and symmetry."""
+    basis, gram, k = rule
+    assert len(gram) == len(basis) == len(k)
+    assert all(len(row) == len(basis) for row in gram)
+    assert all(gram[i][j] == gram[j][i] for i in range(len(k)) for j in range(len(k)))
+    return sum(ki * gram[i][j] * kj for i, ki in enumerate(k) for j, kj in enumerate(k))
+
+
+class TestFamilyRules:
+    # every parameter on the grid, not only the instances the registry builds
+
+    @pytest.mark.parametrize("q", range(5))
+    @pytest.mark.parametrize("e", range(8))
+    def test_ruled_canonical_square(self, q, e):
+        rule = _ruled(q, e, "C")
+        assert rule[0] == ("C", "F")
+        assert rule_k2(rule) == 8 * (1 - q)
+
+    @pytest.mark.parametrize("r", range(12))
+    def test_plane_canonical_square(self, r):
+        rule = _plane(r)
+        assert rule[0] == ("L",) + tuple(f"E{i}" for i in range(1, r + 1))
+        assert rule_k2(rule) == 9 - r
 
 
 class TestIntersect:
